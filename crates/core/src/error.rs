@@ -42,7 +42,7 @@ impl Error for BuildError {}
 
 /// Why [`AttackSession::execute`](crate::AttackSession::execute) could not
 /// carry out a [`RunRequest`](crate::RunRequest).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum RunError {
     /// The request needs a monitor context, but none was installed via
@@ -64,6 +64,17 @@ pub enum RunError {
     CheckpointMismatch {
         /// Cycle at which the stale snapshot was captured.
         capture_cycle: u64,
+    },
+    /// A [`RunRequest::cross_checked`](crate::RunRequest::cross_checked)
+    /// run found the cycle-by-cycle and fast-forwarded reports different:
+    /// a simulator soundness bug, never a property of the workload.
+    CrossCheckDiverged {
+        /// Offset of the first differing byte of the two `Debug` renderings.
+        byte: usize,
+        /// The cycle-by-cycle rendering around `byte`.
+        cycle_by_cycle: String,
+        /// The fast-forwarded rendering around `byte`.
+        fast_forward: String,
     },
 }
 
@@ -90,6 +101,18 @@ impl fmt::Display for RunError {
                     "checkpoint restore failed: the snapshot from cycle \
                      {capture_cycle} carries supervisor state the installed \
                      supervisor does not recognize (swapped since capture)"
+                )
+            }
+            RunError::CrossCheckDiverged {
+                byte,
+                cycle_by_cycle,
+                fast_forward,
+            } => {
+                write!(
+                    f,
+                    "fast-forward cross-check failed: the reports diverge at \
+                     byte {byte}\n  cycle-by-cycle: …{cycle_by_cycle}…\n  \
+                     fast-forward:   …{fast_forward}…"
                 )
             }
         }

@@ -244,10 +244,11 @@ impl RunRequest {
     }
 
     /// Runs the post-arm window twice — cycle-by-cycle and fast-forwarded —
-    /// and panics on divergence (a simulator soundness bug, never a
-    /// workload property). Implies [`RunRequest::from_checkpoint`]; the
-    /// stop condition follows the session (monitor-done when a monitor is
-    /// installed, cycle budget otherwise).
+    /// and fails with [`RunError::CrossCheckDiverged`] when the reports
+    /// differ (a simulator soundness bug, never a workload property).
+    /// Implies [`RunRequest::from_checkpoint`]; the stop condition follows
+    /// the session (monitor-done when a monitor is installed, cycle budget
+    /// otherwise).
     pub fn cross_checked(mut self) -> Self {
         self.cross_checked = true;
         self
@@ -343,13 +344,9 @@ impl AttackSession {
     /// * [`RunError::NoCheckpoint`] — `.from_checkpoint()` or
     ///   `.cross_checked()` before any cold execution captured a snapshot;
     /// * [`RunError::CheckpointMismatch`] — the supervisor was swapped
-    ///   since the capture.
-    ///
-    /// # Panics
-    ///
-    /// A `.cross_checked()` request panics when the cycle-by-cycle and
-    /// fast-forwarded executions diverge: that is a simulator soundness
-    /// bug, never a property of the workload.
+    ///   since the capture;
+    /// * [`RunError::CrossCheckDiverged`] — a `.cross_checked()` request
+    ///   found the cycle-by-cycle and fast-forwarded executions different.
     pub fn execute(&mut self, req: RunRequest) -> Result<AttackReport, RunError> {
         if req.is_cross_checked() {
             return self.cross_checked_impl(req.max_cycles());
@@ -468,10 +465,10 @@ impl AttackSession {
 
     /// Debug cross-check mode: re-executes the post-arm window twice —
     /// once with the reference cycle-by-cycle loop, once with idle-cycle
-    /// fast-forward — and verifies the two [`AttackReport`]s are
-    /// byte-identical (their full `Debug` serialization compares equal).
-    /// Stops at monitor completion when the session has a monitor, at the
-    /// cycle budget otherwise. Returns the verified report.
+    /// fast-forward — and verifies the two [`AttackReport`]s agree
+    /// ([`compare_reports`]). Stops at monitor completion when the session
+    /// has a monitor, at the cycle budget otherwise. Returns the verified
+    /// report.
     fn cross_checked_impl(&mut self, max_cycles: u64) -> Result<AttackReport, RunError> {
         let orig_ff = self.machine.config().fast_forward;
         self.machine.set_fast_forward(false);
@@ -479,22 +476,8 @@ impl AttackSession {
         self.machine.set_fast_forward(true);
         let fast = self.replay_auto(max_cycles);
         self.machine.set_fast_forward(orig_ff);
-        let (reference, fast) = (reference?, fast?);
-        let (a, b) = (format!("{reference:?}"), format!("{fast:?}"));
-        if a != b {
-            let at = a
-                .bytes()
-                .zip(b.bytes())
-                .position(|(x, y)| x != y)
-                .unwrap_or(a.len().min(b.len()));
-            let lo = at.saturating_sub(80);
-            panic!(
-                "fast-forward cross-check diverged at report byte {at}:\n  \
-                 cycle-by-cycle: …{}…\n  fast-forward:   …{}…",
-                &a[lo..(at + 80).min(a.len())],
-                &b[lo..(at + 80).min(b.len())],
-            );
-        }
+        let fast = fast?;
+        compare_reports(&reference?, &fast)?;
         Ok(fast)
     }
 
@@ -678,5 +661,75 @@ impl AttackSession {
         m.set_count("os.observations", sh.observations.len() as u64);
         m.set_count("probe.dropped", self.probe.dropped());
         m
+    }
+}
+
+/// The cross-check relation: two reports agree when their full `Debug`
+/// renderings are byte-identical. On a difference the error carries the
+/// first differing byte and up to 80 bytes either side of it from each.
+fn compare_reports(
+    cycle_by_cycle: &AttackReport,
+    fast_forward: &AttackReport,
+) -> Result<(), RunError> {
+    let (a, b) = (format!("{cycle_by_cycle:?}"), format!("{fast_forward:?}"));
+    let Some(byte) = (a.bytes().zip(b.bytes()).position(|(x, y)| x != y))
+        .or_else(|| (a.len() != b.len()).then(|| a.len().min(b.len())))
+    else {
+        return Ok(());
+    };
+    let excerpt = |s: &str| {
+        let bytes = &s.as_bytes()[byte.saturating_sub(80)..(byte + 80).min(s.len())];
+        String::from_utf8_lossy(bytes).into_owned()
+    };
+    Err(RunError::CrossCheckDiverged {
+        byte,
+        cycle_by_cycle: excerpt(&a),
+        fast_forward: excerpt(&b),
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use microscope_cpu::{Assembler, Reg};
+
+    #[test]
+    fn compare_reports_locates_the_first_difference() {
+        let mut b = SessionBuilder::new();
+        let aspace = b.new_aspace(1);
+        let mut asm = Assembler::new();
+        asm.imm(Reg(1), 7).halt();
+        b.victim(asm.finish(), aspace);
+        let mut session = b.build().expect("session has a victim");
+        let report = session
+            .execute(RunRequest::cold(1_000))
+            .expect("a cold run cannot fail");
+        assert_eq!(compare_reports(&report, &report.clone()), Ok(()));
+
+        let mut other = report.clone();
+        other.div_stats.1 += 1;
+        let Err(RunError::CrossCheckDiverged {
+            byte,
+            cycle_by_cycle,
+            fast_forward,
+        }) = compare_reports(&report, &other)
+        else {
+            panic!("reports that differ must diverge");
+        };
+        let rendered = format!("{report:?}");
+        assert_eq!(
+            rendered.as_bytes()[..byte],
+            format!("{other:?}").as_bytes()[..byte]
+        );
+        assert!(
+            rendered[..byte].ends_with("div_stats: (0, "),
+            "{}",
+            &rendered[..byte]
+        );
+        assert!(
+            cycle_by_cycle.contains("div_stats: (0, 0)"),
+            "{cycle_by_cycle}"
+        );
+        assert!(fast_forward.contains("div_stats: (0, 1)"), "{fast_forward}");
     }
 }

@@ -69,15 +69,16 @@ pub struct CoreConfig {
     pub rdrand_refill_log2: u32,
     /// Whether to record a detailed event trace.
     pub trace: bool,
-    /// Idle-cycle fast-forward: when every context is stalled until a known
-    /// cycle (a DRAM fill or page walk completing, a fault handler
-    /// returning), [`crate::Machine::run`] jumps the clock to the next
-    /// event instead of ticking through the dead cycles. The skip is exact
-    /// — a cycle is only skipped when provably *nothing* can retire, issue,
-    /// complete or fetch in it — so all observable state (reports, traces,
-    /// statistics, timer reads) is byte-identical to cycle-by-cycle
-    /// execution. Disable to force the reference cycle-by-cycle loop (the
-    /// cross-check baseline).
+    /// Idle-cycle fast-forward: [`crate::Machine::run`] jumps the clock to
+    /// the next cycle in which anything can happen — the earliest
+    /// completion on a context's calendar, the end of a fetch stall, or
+    /// the divider freeing up for a waiting division — instead of ticking
+    /// through the dead cycles. The skip is exact: nothing could retire,
+    /// complete, issue or fetch in a skipped cycle, and the divider stalls
+    /// its failed issue attempts would have charged are credited, so all
+    /// observable state (reports, traces, statistics, timer reads) is
+    /// byte-identical to cycle-by-cycle execution. Disable to force the
+    /// reference cycle-by-cycle loop (the cross-check baseline).
     pub fast_forward: bool,
 }
 

@@ -1,12 +1,13 @@
 //! One SMT hardware context: architectural state plus its ROB window.
 
-use crate::isa::Reg;
+use crate::isa::{Inst, Reg};
 use crate::program::Program;
-use crate::rob::{RobEntry, RobState};
+use crate::rob::RobEntry;
 use crate::stats::ContextStats;
 use microscope_cache::{LineAddr, PAddr};
 use microscope_mem::AddressSpace;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 
 /// Identifies a hardware context (0 or 1 on a 2-way SMT core).
@@ -97,23 +98,19 @@ pub struct Context {
     pub(crate) step_every: Option<u64>,
     /// Retired instructions since the last stepping interrupt.
     pub(crate) retires_since_step: u64,
-    /// Number of *issuable* ROB entries: in [`RobState::Waiting`] with
-    /// every operand ready. Operands move `Pending` → `Ready` only at
-    /// value delivery, so this count is maintained exactly at the few
-    /// transition points (dispatch, delivery, issue, squash) and lets the
-    /// issue stage skip its O(ROB) scan for a context with nothing to
-    /// arbitrate — the steady state of a captive victim whose window
-    /// stalled behind the replayed faulting load.
-    ///
-    /// [`RobState::Waiting`]: crate::rob::RobState::Waiting
-    pub(crate) issuable: usize,
-    /// Number of ROB entries in flight on an execution unit
-    /// ([`RobState::Executing`]). Lets the complete stage stop scanning
-    /// once every in-flight entry has been seen — for a captive victim
-    /// that is one entry (the replayed faulting load), at the head.
-    ///
-    /// [`RobState::Executing`]: crate::rob::RobState::Executing
-    pub(crate) executing: usize,
+    /// Completion calendar: `(done_at, seq)` of every `Executing` entry,
+    /// earliest first. The complete stage pops what is due; its head is
+    /// fast-forward's next completion wake.
+    pub(crate) calendar: BinaryHeap<Reverse<(u64, u64)>>,
+    /// Seqs of `Waiting` entries with every operand ready, ascending: the
+    /// issue stage's candidates.
+    pub(crate) ready: Vec<u64>,
+    /// Seqs of `Waiting` stores, ascending: what memory disambiguation
+    /// checks a younger load against.
+    pub(crate) stores: Vec<u64>,
+    /// Seqs of entries that block younger issue (fences) and are not yet
+    /// `Done`, ascending.
+    pub(crate) fences: Vec<u64>,
     /// Statistics.
     pub(crate) stats: ContextStats,
 }
@@ -136,8 +133,10 @@ impl Context {
             post_flush_fence: false,
             step_every: None,
             retires_since_step: 0,
-            issuable: 0,
-            executing: 0,
+            calendar: BinaryHeap::new(),
+            ready: Vec::new(),
+            stores: Vec::new(),
+            fences: Vec::new(),
             stats: ContextStats::default(),
         }
     }
@@ -197,14 +196,50 @@ impl Context {
         self.rob.len()
     }
 
-    /// Rebuilds the register alias table from the surviving ROB entries
-    /// (after a squash).
-    pub(crate) fn rebuild_rat(&mut self) {
-        self.rat = [None; Reg::COUNT];
-        for e in &self.rob {
-            if let Some(dst) = e.dst() {
-                self.rat[dst.index()] = Some(e.seq);
+    /// ROB position of the live entry `seq` (the ROB is seq-sorted).
+    pub(crate) fn index_of(&self, seq: u64) -> usize {
+        self.rob.partition_point(|e| e.seq < seq)
+    }
+
+    /// Appends a freshly dispatched entry (operands already captured) and
+    /// threads it into the RAT, the consumer lists and the issue lists.
+    pub(crate) fn dispatch(&mut self, e: RobEntry) {
+        let seq = e.seq;
+        if e.srcs_ready() {
+            self.ready.push(seq);
+        }
+        if matches!(e.inst, Inst::Store { .. }) {
+            self.stores.push(seq);
+        }
+        if e.blocks_younger {
+            self.fences.push(seq);
+        }
+        if let Some(dst) = e.dst() {
+            self.rat[dst.index()] = Some(seq);
+        }
+        self.rob.push_back(e);
+        self.link(self.rob.len() - 1);
+    }
+
+    /// Threads ROB entry `j` onto the consumer list of each producer it
+    /// waits on.
+    fn link(&mut self, j: usize) {
+        let (seq, srcs) = (self.rob[j].seq, self.rob[j].srcs);
+        for (slot, p) in srcs.producers() {
+            let producer = self.index_of(p);
+            let head = std::mem::replace(&mut self.rob[producer].consumers, seq);
+            self.rob[j].next_consumer[slot] = head;
+        }
+    }
+
+    /// Pops the oldest entry of the calendar whose completion is due.
+    pub(crate) fn pop_due(&mut self, now: u64) -> Option<u64> {
+        match self.calendar.peek() {
+            Some(&Reverse((done_at, seq))) if done_at <= now => {
+                self.calendar.pop();
+                Some(seq)
             }
+            _ => None,
         }
     }
 
@@ -213,25 +248,71 @@ impl Context {
         let n = self.rob.len();
         self.rob.clear();
         self.rat = [None; Reg::COUNT];
-        self.issuable = 0;
-        self.executing = 0;
+        self.calendar.clear();
+        self.ready.clear();
+        self.stores.clear();
+        self.fences.clear();
         n
     }
 
     /// Discards entries strictly younger than `seq`; returns the count.
+    /// The RAT and the consumer lists are rebuilt from the survivors.
     pub(crate) fn squash_younger_than(&mut self, seq: u64) -> usize {
-        let keep = self.rob.iter().take_while(|e| e.seq <= seq).count();
+        let keep = self.index_of(seq + 1);
         let n = self.rob.len() - keep;
-        for e in self.rob.iter().skip(keep) {
-            match e.state {
-                RobState::Waiting => self.issuable -= usize::from(e.srcs_ready()),
-                RobState::Executing { .. } => self.executing -= 1,
-                _ => {}
+        self.rob.truncate(keep);
+        for list in [&mut self.ready, &mut self.stores, &mut self.fences] {
+            list.truncate(list.partition_point(|&s| s <= seq));
+        }
+        self.calendar.retain(|&Reverse((_, s))| s <= seq);
+        self.rat = [None; Reg::COUNT];
+        for j in 0..keep {
+            self.rob[j].consumers = 0;
+            if let Some(dst) = self.rob[j].dst() {
+                self.rat[dst.index()] = Some(self.rob[j].seq);
+            }
+            self.link(j);
+        }
+        n
+    }
+
+    /// Checks the incremental state against a plain walk of the ROB.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn audit(&self) {
+        use crate::rob::RobState;
+        let seqs = |f: &dyn Fn(&RobEntry) -> bool| -> Vec<u64> {
+            self.rob.iter().filter(|e| f(e)).map(|e| e.seq).collect()
+        };
+        let waiting = |e: &RobEntry| e.state == RobState::Waiting;
+        assert_eq!(self.ready, seqs(&|e| waiting(e) && e.srcs_ready()));
+        assert_eq!(
+            self.stores,
+            seqs(&|e| waiting(e) && matches!(e.inst, Inst::Store { .. }))
+        );
+        assert_eq!(
+            self.fences,
+            seqs(&|e| e.blocks_younger && e.state != RobState::Done)
+        );
+        let mut due: Vec<(u64, u64)> = self.calendar.iter().map(|r| r.0).collect();
+        due.sort_unstable();
+        let mut executing: Vec<(u64, u64)> = (self.rob.iter())
+            .filter_map(|e| match e.state {
+                RobState::Executing { done_at } => Some((done_at, e.seq)),
+                _ => None,
+            })
+            .collect();
+        executing.sort_unstable();
+        assert_eq!(due, executing);
+        for e in &self.rob {
+            for (_, p) in e.srcs.producers() {
+                let producer = self.rob.get(self.index_of(p));
+                assert!(
+                    producer.is_some_and(|q| q.seq == p && q.state != RobState::Done),
+                    "seq {} waits on {p}, which has already delivered",
+                    e.seq
+                );
             }
         }
-        self.rob.truncate(keep);
-        self.rebuild_rat();
-        n
     }
 }
 
@@ -239,7 +320,7 @@ impl Context {
 mod tests {
     use super::*;
     use crate::isa::{AluOp, Inst};
-    use crate::rob::Src;
+    use crate::rob::{RobState, Src};
     use microscope_mem::PhysMem;
 
     fn dummy_entry(seq: u64, dst: Reg) -> RobEntry {
@@ -262,7 +343,8 @@ mod tests {
             fill_at_retire: None,
             blocks_younger: false,
             exec_at_head: false,
-            dispatched_at: 0,
+            consumers: 0,
+            next_consumer: [0; 2],
         }
     }
 
@@ -272,35 +354,47 @@ mod tests {
         Context::new(ContextId(0), Program::new(vec![Inst::Halt]), asp, 1)
     }
 
-    /// Pushes `e` the way dispatch does: ROB plus the issuable count.
-    fn push(c: &mut Context, e: RobEntry) {
-        c.issuable += usize::from(e.state == RobState::Waiting && e.srcs_ready());
-        c.rob.push_back(e);
-    }
-
     #[test]
     fn squash_younger_keeps_prefix_and_rebuilds_rat() {
         let mut c = ctx();
-        push(&mut c, dummy_entry(1, Reg(1)));
-        push(&mut c, dummy_entry(2, Reg(2)));
-        push(&mut c, dummy_entry(3, Reg(1)));
-        c.rebuild_rat();
+        c.dispatch(dummy_entry(1, Reg(1)));
+        c.dispatch(dummy_entry(2, Reg(2)));
+        c.dispatch(dummy_entry(3, Reg(1)));
         assert_eq!(c.rat[1], Some(3));
         let dropped = c.squash_younger_than(2);
         assert_eq!(dropped, 1);
         assert_eq!(c.rob.len(), 2);
-        assert_eq!(c.issuable, 2, "the dropped waiting entry left the count");
+        assert_eq!(c.ready, [1, 2], "the dropped ready entry left the list");
         assert_eq!(c.rat[1], Some(1), "RAT points at surviving producer");
         assert_eq!(c.rat[2], Some(2));
+        c.audit();
+    }
+
+    #[test]
+    fn squash_younger_relinks_surviving_consumers() {
+        let mut c = ctx();
+        c.dispatch(dummy_entry(1, Reg(1)));
+        for seq in 2..5 {
+            let mut e = dummy_entry(seq, Reg(2));
+            e.srcs = [Src::Pending(1)].into_iter().collect();
+            c.dispatch(e);
+        }
+        assert_eq!(c.rob[0].consumers, 4, "youngest consumer heads the list");
+        c.squash_younger_than(3);
+        assert_eq!(c.rob[0].consumers, 3, "squashed consumers left the list");
+        assert_eq!(c.rob[2].next_consumer[0], 2);
+        assert_eq!(c.rob[1].next_consumer[0], 0);
+        c.audit();
     }
 
     #[test]
     fn squash_all_clears_everything() {
         let mut c = ctx();
-        c.rob.push_back(dummy_entry(1, Reg(1)));
+        c.dispatch(dummy_entry(1, Reg(1)));
         assert_eq!(c.squash_all(), 1);
         assert_eq!(c.rob_occupancy(), 0);
         assert!(c.rat.iter().all(Option::is_none));
+        assert!(c.ready.is_empty());
     }
 
     #[test]

@@ -18,10 +18,7 @@ use microscope_mem::{
     VAddr, WalkerConfig, PAGE_BYTES,
 };
 use microscope_probe::{Probe, Recorder, RecorderConfig};
-
-/// A pending (unissued) store: its ROB index plus the virtual byte range
-/// `[lo, hi)` its address operand resolves to, when already known.
-type PendingStore = (usize, Option<(u64, u64)>);
+use std::cmp::Reverse;
 
 /// SplitMix64: a tiny, high-quality mixing function for the DRBG model.
 fn splitmix64(mut z: u64) -> u64 {
@@ -254,7 +251,6 @@ impl MachineBuilder {
             tracer,
             next_seq: 1,
             ckpt_stats: std::cell::Cell::new(CheckpointStats::default()),
-            issue_scratch: IssueScratch::default(),
         }
     }
 }
@@ -283,24 +279,6 @@ pub struct Machine {
     /// [`Machine::restore`]. A `Cell` so [`Machine::checkpoint`] can count
     /// captures through its `&self` receiver.
     ckpt_stats: std::cell::Cell<CheckpointStats>,
-    /// Reusable issue-stage work buffers (cleared every cycle, carried
-    /// here only so the hottest loop never heap-allocates; deliberately
-    /// absent from checkpoints — they hold no architectural state).
-    issue_scratch: IssueScratch,
-}
-
-/// Per-cycle scratch for [`Machine::issue_stage`], reused across cycles.
-#[derive(Debug, Default)]
-struct IssueScratch {
-    first_not_done: Vec<usize>,
-    first_blocker: Vec<usize>,
-    pending_stores: Vec<Vec<PendingStore>>,
-    /// Per-context issue candidates: indices of entries that are `Waiting`
-    /// with every operand ready. Nothing issued this cycle can add to the
-    /// set (values deliver at complete, not issue), so the gating scan can
-    /// collect it up front and arbitration touches only these.
-    candidates: Vec<Vec<usize>>,
-    cursor: Vec<usize>,
 }
 
 impl std::fmt::Debug for Machine {
@@ -500,7 +478,6 @@ impl Machine {
     /// Runs until every context halts or `max_cycles` elapse.
     pub fn run(&mut self, max_cycles: u64) -> RunExit {
         let end = self.cycle.saturating_add(max_cycles);
-        let mut prev_sig = u64::MAX;
         loop {
             if self.all_halted() {
                 return RunExit::AllHalted;
@@ -508,21 +485,21 @@ impl Machine {
             if self.cycle >= end {
                 return RunExit::MaxCycles;
             }
-            self.advance(end, &mut prev_sig);
+            self.advance(end);
         }
     }
 
     /// Runs until `pred` holds or `max_cycles` elapse. Returns whether the
     /// predicate fired.
     ///
-    /// The predicate is evaluated whenever machine state may have changed.
-    /// With [`CoreConfig::fast_forward`] enabled, cycles in which provably
-    /// nothing happens are jumped over without re-evaluating it — exact for
-    /// any predicate over machine *state*, but a predicate over the bare
-    /// cycle counter may be observed a few cycles late.
+    /// The predicate is evaluated once before every real step (and once
+    /// more when the run ends), so the number of evaluations counts the
+    /// steps taken. With [`CoreConfig::fast_forward`] enabled, the cycles
+    /// fast-forward jumps over change no machine state and are not
+    /// evaluated: exact for any predicate over machine *state*, but a
+    /// predicate over the bare cycle counter may be observed late.
     pub fn run_until(&mut self, max_cycles: u64, mut pred: impl FnMut(&Machine) -> bool) -> bool {
         let end = self.cycle.saturating_add(max_cycles);
-        let mut prev_sig = u64::MAX;
         loop {
             if pred(self) {
                 return true;
@@ -530,107 +507,79 @@ impl Machine {
             if self.all_halted() || self.cycle >= end {
                 return pred(self);
             }
-            self.advance(end, &mut prev_sig);
+            self.advance(end);
         }
     }
 
-    /// One scheduling quantum: a possible idle-cycle jump followed by one
-    /// step. `prev_sig` gates the O(ROB) fast-forward scan to stretches
-    /// where the previous step made no forward progress, so busy cycles pay
-    /// only a cheap counter comparison.
-    fn advance(&mut self, end: u64, prev_sig: &mut u64) {
-        if self.cfg.fast_forward && *prev_sig == self.progress_signature() {
+    /// One scheduling quantum: a jump to just before the next wake (with
+    /// fast-forward on), then one real step.
+    fn advance(&mut self, end: u64) {
+        if self.cfg.fast_forward {
             self.fast_forward(end);
             if self.cycle >= end {
                 return;
             }
         }
         self.step();
-        *prev_sig = self.progress_signature();
     }
 
-    /// A cheap monotone counter that moves whenever a step retires,
-    /// dispatches or issues anything. Two equal readings around a step mean
-    /// the step was (close to) idle and fast-forward is worth attempting.
-    fn progress_signature(&self) -> u64 {
-        let mut sig = 0u64;
-        for c in &self.contexts {
-            sig = sig
-                .wrapping_add(c.stats.retired)
-                .wrapping_add(c.stats.dispatched)
-                .wrapping_add(c.stats.squashed);
-        }
-        for n in self.ports.port_issues() {
-            sig = sig.wrapping_add(n);
-        }
-        sig
-    }
-
-    /// Idle-cycle fast-forward. When the next step provably retires,
-    /// completes, issues and fetches nothing — every context is waiting on
-    /// an in-flight operation (DRAM fill, page walk, divider) or a fetch
-    /// stall (fault handler, squash redirect) whose end cycle is known —
-    /// jump the clock to just before the earliest such wake-up so the next
-    /// step lands exactly on it. With nothing in flight at all, spin out
-    /// the whole budget.
+    /// Idle-cycle fast-forward: jumps the clock to just before the next
+    /// cycle in which some step could change state, so the next step lands
+    /// exactly on it (to the budget end when nothing is pending).
     ///
-    /// The skip is exact: all skipped cycles would have been no-ops, and
-    /// the only state they touch (per-cycle port and L1-bank claims) is
-    /// cleared at the start of every cycle and observable by nothing.
-    /// Conditions that depend on cross-context state each cycle (an open
-    /// transaction's conflict check) disqualify the skip entirely.
+    /// That wake is the earliest of each context's next calendar
+    /// completion and, where fetch could dispatch, `fetch_stalled_until`.
+    /// Ready entries that `can_issue` rejects stay rejected until a
+    /// completion, a retirement or a store issue changes the window — each
+    /// of which makes its own cycle live — so they add no wake. A
+    /// ready divide that passes `can_issue` can only lose to the busy
+    /// divider: it adds `divider_busy_until`, and every skipped cycle is
+    /// credited with the stall it would have charged. Any other ready
+    /// entry, a retirable head, an implicit halt or an open transaction
+    /// (conflict-checked against shared caches every cycle) means the next
+    /// cycle is live. The skipped cycles' only other state is per-cycle
+    /// port and L1-bank claims, cleared at the start of every cycle.
     fn fast_forward(&mut self, end: u64) {
         let now = self.cycle;
-        // Earliest future cycle at which some context can make progress.
-        let mut wake: Option<u64> = None;
-        let note = |wake: &mut Option<u64>, at: u64| {
-            *wake = Some(wake.map_or(at, |w| w.min(at)));
-        };
-        for ctx in &self.contexts {
+        let mut wake = u64::MAX;
+        let mut waiting_divs = 0;
+        for (ci, ctx) in self.contexts.iter().enumerate() {
             if ctx.halted {
                 continue;
             }
-            // Transactions are conflict-checked every cycle against cache
-            // state another context may mutate: never skip over one.
-            if ctx.txn.is_some() {
+            if ctx.txn.is_some()
+                || (ctx.fetch_stopped && ctx.rob.is_empty())
+                || ctx.rob.front().is_some_and(RobEntry::is_complete)
+            {
                 return;
             }
-            // The retire stage would halt this drained context next step.
-            if ctx.fetch_stopped && ctx.rob.is_empty() {
-                return;
-            }
-            if let Some(head) = ctx.rob.front() {
-                // The head retires or delivers its fault next step.
-                if matches!(head.state, RobState::Done | RobState::Faulted) {
-                    return;
-                }
-            }
-            for e in &ctx.rob {
-                match e.state {
-                    // An issue *attempt* — even one that loses port
-                    // arbitration and charges divider stall cycles — is
-                    // progress.
-                    RobState::Waiting if e.srcs_ready() => return,
-                    RobState::Executing { done_at } => {
-                        if done_at <= now + 1 {
-                            return;
-                        }
-                        note(&mut wake, done_at);
-                    }
-                    _ => {}
-                }
+            if let Some(&Reverse((done_at, _))) = ctx.calendar.peek() {
+                wake = wake.min(done_at);
             }
             if !ctx.fetch_stopped && ctx.rob.len() < self.cfg.rob_size {
-                if ctx.fetch_stalled_until <= now + 1 {
+                wake = wake.min(ctx.fetch_stalled_until);
+            }
+            for &seq in &ctx.ready {
+                let idx = ctx.index_of(seq);
+                if !self.can_issue(ci, idx) {
+                    continue;
+                }
+                if !matches!(ctx.rob[idx].inst, Inst::FOp { op: FpOp::Div, .. }) {
                     return;
                 }
-                note(&mut wake, ctx.fetch_stalled_until);
+                waiting_divs += 1;
             }
         }
-        // Jump to the cycle *before* the wake event so the next step lands
-        // exactly on it.
-        let target = wake.map_or(end, |w| (w - 1).min(end));
-        if target > self.cycle {
+        if waiting_divs > 0 {
+            wake = wake.min(self.ports.divider_busy_until());
+        }
+        let target = if wake == u64::MAX {
+            end
+        } else {
+            wake.saturating_sub(1).min(end)
+        };
+        if target > now {
+            self.ports.credit_div_stalls(waiting_divs * (target - now));
             self.cycle = target;
             // Cold execution stamps the probe's ambient cycle every tick;
             // keep it in sync across the jump.
@@ -651,6 +600,8 @@ impl Machine {
         self.complete_stage(now);
         self.issue_stage(now);
         self.fetch_stage(now);
+        #[cfg(debug_assertions)]
+        self.contexts.iter().for_each(Context::audit);
     }
 
     // ------------------------------------------------------------------
@@ -785,10 +736,7 @@ impl Machine {
             }
             Inst::Halt => {
                 let ctx = &mut self.contexts[ci];
-                ctx.rob.clear();
-                ctx.rat = [None; Reg::COUNT];
-                ctx.issuable = 0;
-                ctx.executing = 0;
+                ctx.squash_all();
                 ctx.halted = true;
                 return false;
             }
@@ -927,213 +875,122 @@ impl Machine {
 
     fn complete_stage(&mut self, now: u64) {
         for ci in 0..self.contexts.len() {
-            // Only `Executing` entries can complete, and the context counts
-            // them: stop scanning once every in-flight entry has been seen.
-            // A captive victim's window is Done/Waiting except the replayed
-            // faulting load at its head, so its scan is one entry long.
-            let mut remaining = self.contexts[ci].executing;
-            let mut idx = 0;
-            'entries: while remaining > 0 && idx < self.contexts[ci].rob.len() {
-                let (done, seq) = {
-                    let e = &self.contexts[ci].rob[idx];
-                    match e.state {
-                        RobState::Executing { done_at } => {
-                            remaining -= 1;
-                            (done_at <= now, e.seq)
-                        }
-                        _ => (false, e.seq),
-                    }
-                };
-                if !done {
-                    idx += 1;
-                    continue;
+            // Everything due completes this cycle, oldest first: all of it
+            // is due exactly now, so calendar order is seq order.
+            while let Some(seq) = self.contexts[ci].pop_due(now) {
+                if !self.complete_one(ci, seq, now) {
+                    break;
                 }
-                self.contexts[ci].executing -= 1;
-                let has_fault = self.contexts[ci].rob[idx].fault.is_some();
-                if has_fault {
-                    self.contexts[ci].rob[idx].state = RobState::Faulted;
-                    idx += 1;
-                    continue;
-                }
-                // Mark done and broadcast the value to younger consumers.
-                let value = self.contexts[ci].rob[idx].value;
-                self.contexts[ci].rob[idx].state = RobState::Done;
-                self.tracer
-                    .record(now, ContextId(ci), TraceKind::Complete { seq });
-                let len = self.contexts[ci].rob.len();
-                let mut woken = 0usize;
-                for j in idx + 1..len {
-                    let e = &mut self.contexts[ci].rob[j];
-                    if e.deliver(seq, value) && e.state == RobState::Waiting && e.srcs_ready() {
-                        woken += 1;
-                    }
-                }
-                self.contexts[ci].issuable += woken;
-                // Branch resolution.
-                let (is_branch, taken, predicted, target, pc) = {
-                    let e = &self.contexts[ci].rob[idx];
-                    match e.inst {
-                        Inst::Branch { target, .. } => {
-                            (true, e.value != 0, e.predicted_taken, target, e.pc)
-                        }
-                        _ => (false, false, false, 0, 0),
-                    }
-                };
-                if is_branch {
-                    let mispredict = taken != predicted;
-                    self.hw.predictor.train(pc, taken, mispredict);
-                    if mispredict {
-                        let ctx = &mut self.contexts[ci];
-                        let dropped = ctx.squash_younger_than(seq);
-                        ctx.stats.record_squash(SquashCause::Mispredict, dropped);
-                        ctx.pc = if taken { target } else { pc + 1 };
-                        ctx.fetch_stopped = false;
-                        ctx.fetch_stalled_until = now + self.cfg.squash_penalty;
-                        if self.cfg.fence_after_pipeline_flush {
-                            ctx.post_flush_fence = true;
-                        }
-                        self.tracer.record(
-                            now,
-                            ContextId(ci),
-                            TraceKind::Squash {
-                                cause: SquashCause::Mispredict,
-                                discarded: dropped,
-                            },
-                        );
-                        break 'entries;
-                    }
-                }
-                idx += 1;
             }
         }
+    }
+
+    /// Completes entry `seq`; returns `false` when it was a mispredicted
+    /// branch, which squashed everything younger.
+    fn complete_one(&mut self, ci: usize, seq: u64, now: u64) -> bool {
+        let ctx = &mut self.contexts[ci];
+        let idx = ctx.index_of(seq);
+        let e = &mut ctx.rob[idx];
+        if e.fault.is_some() {
+            e.state = RobState::Faulted;
+            return true;
+        }
+        e.state = RobState::Done;
+        let (value, mut next) = (e.value, e.consumers);
+        let (inst, taken, predicted, pc) = (e.inst, e.value != 0, e.predicted_taken, e.pc);
+        if e.blocks_younger {
+            ctx.fences.retain(|&f| f != seq);
+        }
+        while next != 0 {
+            let j = ctx.index_of(next);
+            let c = &mut ctx.rob[j];
+            let consumer = c.seq;
+            next = c.deliver(seq, value);
+            if c.srcs_ready() {
+                let at = ctx.ready.partition_point(|&s| s < consumer);
+                ctx.ready.insert(at, consumer);
+            }
+        }
+        self.tracer
+            .record(now, ContextId(ci), TraceKind::Complete { seq });
+        let Inst::Branch { target, .. } = inst else {
+            return true;
+        };
+        let mispredict = taken != predicted;
+        self.hw.predictor.train(pc, taken, mispredict);
+        if !mispredict {
+            return true;
+        }
+        let ctx = &mut self.contexts[ci];
+        let dropped = ctx.squash_younger_than(seq);
+        ctx.stats.record_squash(SquashCause::Mispredict, dropped);
+        ctx.pc = if taken { target } else { pc + 1 };
+        ctx.fetch_stopped = false;
+        ctx.fetch_stalled_until = now + self.cfg.squash_penalty;
+        if self.cfg.fence_after_pipeline_flush {
+            ctx.post_flush_fence = true;
+        }
+        self.tracer.record(
+            now,
+            ContextId(ci),
+            TraceKind::Squash {
+                cause: SquashCause::Mispredict,
+                discarded: dropped,
+            },
+        );
+        false
     }
 
     // ------------------------------------------------------------------
     // Issue / execute
     // ------------------------------------------------------------------
 
+    /// Issues ready entries oldest-first ACROSS contexts (merged by
+    /// sequence number). Age-ordered arbitration is what keeps one SMT
+    /// context from starving the other on a contended unit like the
+    /// divider. Each candidate is tried at most once: one that loses port
+    /// arbitration (or a gating check) waits for the next cycle. A store
+    /// issued this cycle still gates younger loads until the cycle ends.
     fn issue_stage(&mut self, now: u64) {
-        let n = self.contexts.len();
         let mut budget = self.cfg.issue_width;
-        // Per-context gating state, computed in one O(rob) pass each:
-        //  - first entry that is not Done (fences/serialized ops need all
-        //    older entries Done);
-        //  - first incomplete entry that blocks younger issue;
-        //  - every pending (unissued) store, with its virtual range when
-        //    the address operand has already resolved. Store addresses
-        //    resolve independently of store data (the STA/STD split), so
-        //    a younger load only waits on a pending store whose address
-        //    is unknown or may overlap its own.
-        // The buffers live on the machine and are recycled every cycle.
-        let mut scratch = std::mem::take(&mut self.issue_scratch);
-        scratch.first_not_done.clear();
-        scratch.first_not_done.resize(n, usize::MAX);
-        scratch.first_blocker.clear();
-        scratch.first_blocker.resize(n, usize::MAX);
-        scratch.pending_stores.resize_with(n, Vec::new);
-        scratch.candidates.resize_with(n, Vec::new);
-        scratch.cursor.clear();
-        scratch.cursor.resize(n, 0);
-        let mut any_candidate = false;
-        for ci in 0..n {
-            scratch.pending_stores[ci].clear();
-            scratch.candidates[ci].clear();
-            // With nothing issuable there is nothing to arbitrate, and the
-            // gating state (first-not-done, blockers, pending stores) is
-            // only ever consulted for this context's own candidates — skip
-            // the O(ROB) scan outright. This is the steady state of a
-            // captive victim: its window is stalled on the replayed
-            // faulting load, every entry either complete or waiting on an
-            // operand that only a future delivery can make ready.
-            if self.contexts[ci].issuable == 0 {
-                debug_assert!(!self.contexts[ci]
-                    .rob
-                    .iter()
-                    .any(|e| e.state == RobState::Waiting && e.srcs_ready()));
-                continue;
-            }
-            let issuable = self.contexts[ci].issuable;
-            for (idx, e) in self.contexts[ci].rob.iter().enumerate() {
-                if scratch.first_not_done[ci] == usize::MAX && e.state != RobState::Done {
-                    scratch.first_not_done[ci] = idx;
-                }
-                if scratch.first_blocker[ci] == usize::MAX
-                    && e.blocks_younger
-                    && e.state != RobState::Done
-                {
-                    scratch.first_blocker[ci] = idx;
-                }
-                if e.state == RobState::Waiting && e.srcs_ready() {
-                    scratch.candidates[ci].push(idx);
-                    any_candidate = true;
-                    // Entries past the youngest candidate cannot gate it
-                    // (disambiguation and blockers only look *older*), so
-                    // once every issuable entry is in hand stop scanning.
-                    if scratch.candidates[ci].len() == issuable {
-                        break;
-                    }
-                }
-                if matches!(e.inst, Inst::Store { .. })
-                    && e.mem_addr.is_none()
-                    && e.fault.is_none()
-                    && !e.is_complete()
-                {
-                    scratch.pending_stores[ci].push((idx, e.resolved_vaddr_range()));
-                }
-            }
-        }
-        // Issue oldest-first ACROSS contexts (merge by sequence number).
-        // Age-ordered arbitration is what keeps one SMT context from
-        // starving the other on a contended unit like the divider. Each
-        // candidate is visited at most once: one that loses port
-        // arbitration (or a disambiguation check) waits for the next cycle.
-        while budget > 0 && any_candidate {
-            let mut best: Option<(u64, usize)> = None;
-            for (ci, cur) in scratch.cursor.iter().enumerate() {
-                if let Some(&idx) = scratch.candidates[ci].get(*cur) {
-                    let seq = self.contexts[ci].rob[idx].seq;
-                    if best.map(|(s, _)| seq < s).unwrap_or(true) {
-                        best = Some((seq, ci));
-                    }
-                }
-            }
-            let Some((_, ci)) = best else { break };
-            let idx = scratch.candidates[ci][scratch.cursor[ci]];
-            scratch.cursor[ci] += 1;
-            if self.can_issue(
-                ci,
-                idx,
-                scratch.first_not_done[ci],
-                scratch.first_blocker[ci],
-                &scratch.pending_stores[ci],
-            ) && self.try_execute(ci, idx, now)
-            {
+        let mut after = 0;
+        let mut store_issued = false;
+        while budget > 0 {
+            let next = (self.contexts.iter().enumerate())
+                .filter_map(|(ci, c)| {
+                    Some((*c.ready.get(c.ready.partition_point(|&s| s <= after))?, ci))
+                })
+                .min();
+            let Some((seq, ci)) = next else { break };
+            after = seq;
+            let idx = self.contexts[ci].index_of(seq);
+            if self.can_issue(ci, idx) && self.try_execute(ci, idx, now) {
                 budget -= 1;
+                store_issued |= matches!(self.contexts[ci].rob[idx].inst, Inst::Store { .. });
             }
         }
-        self.issue_scratch = scratch;
+        if store_issued {
+            for c in &mut self.contexts {
+                let rob = &c.rob;
+                c.stores.retain(|&s| {
+                    rob[rob.partition_point(|e| e.seq < s)].state == RobState::Waiting
+                });
+            }
+        }
     }
 
-    fn can_issue(
-        &self,
-        ci: usize,
-        idx: usize,
-        first_not_done: usize,
-        first_blocker: usize,
-        pending_stores: &[PendingStore],
-    ) -> bool {
-        let e = &self.contexts[ci].rob[idx];
-        if e.state != RobState::Waiting || !e.srcs_ready() {
-            return false;
-        }
+    /// Whether the ready entry at `idx` passes the ordering checks.
+    fn can_issue(&self, ci: usize, idx: usize) -> bool {
+        let ctx = &self.contexts[ci];
+        let e = &ctx.rob[idx];
         // Serialized instructions execute only once non-speculative (every
         // older entry Done).
-        if e.exec_at_head && first_not_done < idx {
+        if e.exec_at_head && ctx.rob.range(..idx).any(|o| o.state != RobState::Done) {
             return false;
         }
         // Fences (and the post-flush defensive fence) block younger issue
         // until they complete; a Faulted fence keeps blocking.
-        if first_blocker < idx {
+        if ctx.fences.first().is_some_and(|&f| f < e.seq) {
             return false;
         }
         // Memory disambiguation: a load may not issue past an older
@@ -1145,11 +1002,8 @@ impl Machine {
             let (lo, hi) = e
                 .resolved_vaddr_range()
                 .expect("load with ready operands has a resolved address");
-            for &(sidx, range) in pending_stores {
-                if sidx >= idx {
-                    break;
-                }
-                match range {
+            for &s in ctx.stores.iter().take_while(|&&s| s < e.seq) {
+                match ctx.rob[ctx.index_of(s)].resolved_vaddr_range() {
                     None => return false,
                     Some((slo, shi)) if lo < shi && slo < hi => return false,
                     Some(_) => {}
@@ -1263,11 +1117,15 @@ impl Machine {
         if store_value.is_some() {
             e.store_value = store_value;
         }
-        e.state = RobState::Executing {
-            done_at: now + latency.max(1),
-        };
-        self.contexts[ci].issuable -= 1;
-        self.contexts[ci].executing += 1;
+        let done_at = now + latency.max(1);
+        e.state = RobState::Executing { done_at };
+        let ctx = &mut self.contexts[ci];
+        let at = ctx
+            .ready
+            .binary_search(&seq)
+            .expect("issued entry was ready");
+        ctx.ready.remove(at);
+        ctx.calendar.push(Reverse((done_at, seq)));
         true
     }
 
@@ -1415,28 +1273,16 @@ impl Machine {
                 let seq = self.next_seq;
                 self.next_seq += 1;
                 // Operand capture through the RAT.
-                let srcs: SrcList = inst
-                    .sources()
-                    .iter()
-                    .map(|r| {
-                        let ctx = &self.contexts[ci];
-                        match ctx.rat[r.index()] {
-                            Some(pseq) => {
-                                // ROB entries are seq-sorted: binary search.
-                                let pos = ctx.rob.partition_point(|e| e.seq < pseq);
-                                let producer = ctx
-                                    .rob
-                                    .get(pos)
-                                    .filter(|e| e.seq == pseq)
-                                    .expect("RAT points at a live entry");
-                                if producer.state == RobState::Done {
-                                    Src::Ready(producer.value)
-                                } else {
-                                    Src::Pending(pseq)
-                                }
+                let ctx = &self.contexts[ci];
+                let srcs: SrcList = (inst.sources().iter())
+                    .map(|r| match ctx.rat[r.index()] {
+                        Some(pseq) => match &ctx.rob[ctx.index_of(pseq)] {
+                            producer if producer.state == RobState::Done => {
+                                Src::Ready(producer.value)
                             }
-                            None => Src::Ready(ctx.arch_regs[r.index()]),
-                        }
+                            _ => Src::Pending(pseq),
+                        },
+                        None => Src::Ready(ctx.arch_regs[r.index()]),
                     })
                     .collect();
                 // Next-pc logic and branch prediction.
@@ -1473,14 +1319,10 @@ impl Machine {
                     fill_at_retire: None,
                     blocks_younger,
                     exec_at_head,
-                    dispatched_at: now,
+                    consumers: 0,
+                    next_consumer: [0; 2],
                 };
-                if let Some(dst) = entry.dst() {
-                    self.contexts[ci].rat[dst.index()] = Some(seq);
-                }
-                let ready_at_dispatch = entry.srcs_ready();
-                self.contexts[ci].rob.push_back(entry);
-                self.contexts[ci].issuable += usize::from(ready_at_dispatch);
+                self.contexts[ci].dispatch(entry);
                 self.contexts[ci].stats.dispatched += 1;
                 self.tracer
                     .record(now, ContextId(ci), TraceKind::Fetch { seq, pc });

@@ -105,6 +105,13 @@ impl Ports {
         false
     }
 
+    /// Charges `cycles` divider stalls that fast-forward skipped over: one
+    /// per waiting division per skipped cycle, as a failed issue attempt
+    /// in each of those cycles would have.
+    pub(crate) fn credit_div_stalls(&mut self, cycles: u64) {
+        self.div_stall_cycles += cycles;
+    }
+
     /// When the divider becomes free (cycle number).
     pub fn divider_busy_until(&self) -> u64 {
         self.divider_busy_until

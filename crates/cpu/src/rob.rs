@@ -107,6 +107,15 @@ impl SrcList {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
+
+    /// The pending producers, each once, with the first slot naming it:
+    /// the slot whose link threads the consumer onto that producer's list.
+    pub(crate) fn producers(self) -> impl Iterator<Item = (usize, u64)> {
+        (0..self.len()).filter_map(move |slot| match self.items[slot] {
+            Src::Pending(p) if !self.items[..slot].contains(&Src::Pending(p)) => Some((slot, p)),
+            _ => None,
+        })
+    }
 }
 
 impl FromIterator<Src> for SrcList {
@@ -150,8 +159,14 @@ pub struct RobEntry {
     /// Whether this entry must only execute non-speculatively (all older
     /// entries complete): fences and fenced RDRAND.
     pub exec_at_head: bool,
-    /// Cycle the entry was dispatched (for occupancy statistics).
-    pub dispatched_at: u64,
+    /// Head of this entry's consumer list: the youngest entry waiting on
+    /// its value (0 = none). Completion delivers along the list instead of
+    /// broadcasting over the younger window.
+    pub(crate) consumers: u64,
+    /// Per operand slot, the next consumer on the list of the producer that
+    /// slot waits on (0 = end). Only the first slot naming a producer is
+    /// linked.
+    pub(crate) next_consumer: [u64; 2],
 }
 
 impl RobEntry {
@@ -173,19 +188,18 @@ impl RobEntry {
         vals
     }
 
-    /// Substitutes `value` for any pending reference to producer `seq`.
-    /// Returns whether any operand was resolved (operands only ever move
-    /// `Pending` → `Ready`, so a `true` here is the one event that can turn
-    /// a waiting entry issuable).
-    pub fn deliver(&mut self, seq: u64, value: u64) -> bool {
-        let mut hit = false;
+    /// Substitutes `value` for any pending reference to producer `seq` and
+    /// returns the next consumer on that producer's list (0 = end): the
+    /// link held by the first slot that named it.
+    pub fn deliver(&mut self, seq: u64, value: u64) -> u64 {
+        let mut next = None;
         for i in 0..self.srcs.len() {
             if self.srcs.items[i] == Src::Pending(seq) {
                 self.srcs.items[i] = Src::Ready(value);
-                hit = true;
+                next = next.or(Some(self.next_consumer[i]));
             }
         }
-        hit
+        next.unwrap_or(0)
     }
 
     /// The virtual byte range `[lo, hi)` a memory op will touch, resolved
@@ -241,7 +255,8 @@ mod tests {
             fill_at_retire: None,
             blocks_younger: false,
             exec_at_head: false,
-            dispatched_at: 0,
+            consumers: 0,
+            next_consumer: [0; 2],
         }
     }
 
@@ -252,6 +267,20 @@ mod tests {
         e.deliver(7, 40);
         assert!(e.srcs_ready());
         assert_eq!(e.src_values(), [40, 3]);
+    }
+
+    #[test]
+    fn delivery_follows_the_first_slot_naming_the_producer() {
+        let mut e = entry([Src::Pending(7), Src::Pending(7)].into_iter().collect());
+        e.next_consumer = [11, 99];
+        assert_eq!(e.srcs.producers().collect::<Vec<_>>(), [(0, 7)]);
+        assert_eq!(e.deliver(7, 5), 11, "slot 0 holds the list link");
+        assert_eq!(e.src_values(), [5, 5]);
+        let mut e = entry([Src::Ready(1), Src::Pending(8)].into_iter().collect());
+        e.next_consumer = [0, 12];
+        assert_eq!(e.srcs.producers().collect::<Vec<_>>(), [(1, 8)]);
+        assert_eq!(e.deliver(9, 0), 0, "another producer's value is ignored");
+        assert_eq!(e.deliver(8, 2), 12);
     }
 
     #[test]

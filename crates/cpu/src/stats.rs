@@ -90,7 +90,7 @@ impl MetricSource for ContextStats {
 }
 
 /// Whole-machine counters.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MachineStats {
     /// Cycles simulated.
     pub cycles: u64,

@@ -6,6 +6,9 @@
 //! register file and memory a simple in-order interpreter produces. This
 //! is the contract MicroScope exploits (replay steals microarchitectural
 //! state, never architectural results), so it gets the heaviest test.
+//! Every program also runs a second time on the cycle-by-cycle loop
+//! (fast-forward off), which must end on the same cycle with the same
+//! statistics and divider accounting.
 
 use microscope_cpu::{AluOp, Cond, Inst, MachineBuilder, Program, Reg};
 use microscope_mem::{AddressSpace, PhysMem, PteFlags, VAddr, PAGE_BYTES};
@@ -202,9 +205,23 @@ proptest! {
             let t = asp.translate(&phys, VAddr(*addr), true).unwrap();
             phys.write_u64(t.paddr, *value);
         }
-        let mut m = MachineBuilder::new().phys(phys).context_in(prog, asp).build();
+        let build = || {
+            MachineBuilder::new()
+                .phys(phys.clone())
+                .context_in(prog.clone(), asp)
+                .build()
+        };
+        let mut m = build();
         let exit = m.run(5_000_000);
         prop_assert_eq!(exit, microscope_cpu::RunExit::AllHalted);
+        // Fast-forward is invisible: the cycle-by-cycle loop ends on the
+        // same cycle with the same counters and divider accounting.
+        let mut reference = build();
+        reference.set_fast_forward(false);
+        prop_assert_eq!(reference.run(5_000_000), exit);
+        prop_assert_eq!(reference.cycle(), m.cycle());
+        prop_assert_eq!(reference.stats(), m.stats());
+        prop_assert_eq!(reference.ports().div_stats(), m.ports().div_stats());
         let ctx = m.context(0.into());
         for r in 1..13u8 {
             prop_assert_eq!(

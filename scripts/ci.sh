@@ -21,6 +21,11 @@ cargo build --release --workspace
 echo "== cargo test =="
 cargo test -q --workspace
 
+echo "== repo benchmark: perfbench tests =="
+# Every workload at --seconds 0 with its correctness checks and one
+# cross-checked op, so a core change that breaks a workload fails here.
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+
 echo "== sweep smoke: ablate_walk --jobs 2 =="
 # A 5-point sweep fanned over 2 workers; exercises the parallel engine and
 # the shape checks end-to-end in well under a second.

@@ -53,6 +53,15 @@ fn run_request_flags_compose_in_any_order() {
     assert!(c.is_cross_checked() && c.is_from_checkpoint());
 }
 
+/// A cross-check divergence as `execute` reports it.
+fn diverged() -> RunError {
+    RunError::CrossCheckDiverged {
+        byte: 42,
+        cycle_by_cycle: "cycles: 10".into(),
+        fast_forward: "cycles: 11".into(),
+    }
+}
+
 #[test]
 fn displays_follow_what_failed_colon_why() {
     let cases: Vec<String> = vec![
@@ -66,6 +75,7 @@ fn displays_follow_what_failed_colon_why() {
         }
         .to_string(),
         RunError::CheckpointMismatch { capture_cycle: 17 }.to_string(),
+        diverged().to_string(),
         SweepError::Point("injected".into()).to_string(),
         SweepError::Panicked { label: "p3".into() }.to_string(),
         microscope_bench::ArgError::MissingValue {
@@ -88,7 +98,15 @@ fn displays_follow_what_failed_colon_why() {
     // Context actually lands in the rendering.
     assert!(cases[1].starts_with("run until monitor done failed:"));
     assert!(cases[3].contains("cycle 17"));
-    assert!(cases[6].contains("--jobs"));
+    assert!(cases[4].starts_with("fast-forward cross-check failed:"));
+    assert!(
+        cases[4].contains("byte 42")
+            && cases[4].contains("cycle-by-cycle: …cycles: 10…")
+            && cases[4].contains("fast-forward:   …cycles: 11…"),
+        "{}",
+        cases[4]
+    );
+    assert!(cases[7].contains("--jobs"));
 }
 
 #[test]
@@ -111,6 +129,15 @@ fn error_sources_chain_to_the_cause() {
     // Leaves have no source.
     assert!(BuildError::NoVictim.source().is_none());
     assert!(SweepError::Point("x".into()).source().is_none());
+    assert!(
+        diverged().source().is_none(),
+        "a divergence is its own cause"
+    );
+    let wrapped = SweepError::Run(diverged());
+    assert_eq!(
+        wrapped.source().unwrap().downcast_ref::<RunError>(),
+        Some(&diverged())
+    );
 
     let io = std::io::Error::new(std::io::ErrorKind::PermissionDenied, "denied");
     let export = microscope_bench::ExportError {

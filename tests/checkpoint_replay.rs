@@ -8,7 +8,8 @@
 //! 2. **Fast-forward is invisible** — idle-cycle clock jumps change
 //!    nothing observable: cycle-by-cycle and fast-forwarded execution
 //!    yield byte-identical reports (also enforced internally by
-//!    `RunRequest::cross_checked`).
+//!    `RunRequest::cross_checked`), including over divisions that wait on
+//!    a divider an SMT sibling keeps busy and over fenced windows.
 //! 3. **The probe ring counts its drops** — a ring too small for the
 //!    event stream records `capacity` events and counts the rest, so
 //!    `recorded + dropped` equals the full stream's length.
@@ -16,17 +17,21 @@
 //!    dirty writes between capture and restore never leak through a
 //!    copy-on-write snapshot: restoring it yields the same bytes a
 //!    byte-for-byte deep copy taken at capture time holds.
+//! 5. **Fast-forward's step count is pinned** — the real steps a small
+//!    Figure-10 session takes are an exact witness of the wake rule.
 
 use microscope::channels::port_contention::{self, PortContentionConfig};
 use microscope::core::{AttackReport, AttackSession, RunRequest, SessionBuilder};
-use microscope::cpu::{AluOp, Assembler, ContextId, CoreConfig, Reg};
+use microscope::cpu::{AluOp, Assembler, Cond, ContextId, CoreConfig, Reg};
 use microscope::mem::{PAddr, PhysMem, PteFlags, VAddr, PAGE_BYTES};
 use microscope::os::WalkTuning;
 use microscope::probe::RecorderConfig;
 use proptest::prelude::*;
 
 /// One generated victim: a handle load at a random position inside a
-/// straight-line mix of ALU ops, loads and multiplies.
+/// straight-line mix of ALU ops, loads and multiplies — optionally also
+/// divisions, fences and (fenced) RDRANDs — with an optional SMT sibling
+/// that hammers the shared divider.
 #[derive(Clone, Copy, Debug)]
 struct Knobs {
     ops: u8,
@@ -35,20 +40,34 @@ struct Knobs {
     rob_small: bool,
     walk_levels: u8,
     probe_capacity: usize,
+    /// Widen the op mix with `FDiv`, `Fence` and `RdRand`: ready entries
+    /// that wait on the busy divider or on an older entry completing.
+    serializing: bool,
+    /// Iterations of the sibling context's two-division loop (0 = no
+    /// sibling).
+    hammer_divs: u8,
 }
 
 fn arb_knobs() -> impl Strategy<Value = Knobs> {
-    (4u8..24, 0u8..100, 1u64..10, 0u8..2, 1u8..5, 0u8..3).prop_map(
-        |(ops, handle_frac, replays, rob_small, walk_levels, cap)| Knobs {
-            ops,
-            handle_frac,
-            replays,
-            rob_small: rob_small == 1,
-            walk_levels,
-            // Exercise tiny, wrapped and roomy rings.
-            probe_capacity: [64, 1_000, 100_000][cap as usize],
-        },
+    (
+        (4u8..24, 0u8..100, 1u64..10, 0u8..2, 1u8..5, 0u8..3),
+        (0u8..2, prop_oneof![Just(0u8), 1u8..40]),
     )
+        .prop_map(
+            |((ops, handle_frac, replays, rob_small, walk_levels, cap), (serializing, hammer))| {
+                Knobs {
+                    ops,
+                    handle_frac,
+                    replays,
+                    rob_small: rob_small == 1,
+                    walk_levels,
+                    // Exercise tiny, wrapped and roomy rings.
+                    probe_capacity: [64, 1_000, 100_000][cap as usize],
+                    serializing: serializing == 1,
+                    hammer_divs: hammer,
+                }
+            },
+        )
 }
 
 /// Builds one session from the knobs (deterministic in the knobs, so two
@@ -80,8 +99,9 @@ fn build(k: &Knobs) -> AttackSession {
             asm.load(Reg(15), hp, 0);
         }
         // A deterministic op mix keyed off the index: some ALU pressure,
-        // some memory traffic, some multiplies to occupy ports.
-        match i % 4 {
+        // some memory traffic, some multiplies to occupy ports, and with
+        // `serializing` divider work and ops that wait for older ones.
+        match i % if k.serializing { 7 } else { 4 } {
             0 => {
                 asm.alu_imm(AluOp::Add, Reg(1 + (i % 7) as u8), Reg(1), i as u64);
             }
@@ -91,13 +111,40 @@ fn build(k: &Knobs) -> AttackSession {
             2 => {
                 asm.mul(Reg(3), Reg(2), Reg(1));
             }
-            _ => {
+            3 => {
                 asm.store(Reg(4), dp, (i as i64 % 8) * 8);
+            }
+            4 => {
+                asm.fence();
+            }
+            5 => {
+                asm.fdiv(Reg(5), Reg(1 + (i % 3) as u8), Reg(6));
+            }
+            _ => {
+                asm.rdrand(Reg(7));
             }
         }
     }
     asm.halt();
     b.victim(asm.finish(), aspace);
+    if k.hammer_divs > 0 {
+        // The SMT sibling: a loop of independent divisions, so the
+        // victim's divisions queue on a divider the sibling keeps busy.
+        let sibling = b.new_aspace(2);
+        let mut asm = Assembler::new();
+        asm.imm_f64(Reg(1), 9.0)
+            .imm_f64(Reg(2), 3.0)
+            .imm(Reg(5), 0)
+            .imm(Reg(6), u64::from(k.hammer_divs));
+        let top = asm.label();
+        asm.bind(top)
+            .fdiv(Reg(3), Reg(1), Reg(2))
+            .fdiv(Reg(4), Reg(2), Reg(1))
+            .alu_imm(AluOp::Add, Reg(5), Reg(5), 1)
+            .branch(Cond::Lt, Reg(5), Reg(6), top)
+            .halt();
+        b.monitor(asm.finish(), sibling, None);
+    }
     let id = b.module().provide_replay_handle(ContextId(0), handle);
     {
         let recipe = b.module().recipe_mut(id);
@@ -170,7 +217,22 @@ proptest! {
                 .expect("a cold run cannot fail"),
         );
         prop_assert_eq!(&fast_report, &slow_report);
-        // And the built-in cross-check mode agrees with itself.
+        // And the built-in cross-check mode agrees with a cycle-by-cycle
+        // run of its shape: it stops when the sibling halts, if any.
+        let shape = |req: RunRequest| {
+            if k.hammer_divs > 0 {
+                req.until_monitor_done()
+            } else {
+                req
+            }
+        };
+        let mut slow = build(&k);
+        slow.machine_mut().set_fast_forward(false);
+        let slow_report = bytes(
+            &slow
+                .execute(shape(RunRequest::cold(BUDGET)))
+                .expect("the sibling is the monitor"),
+        );
         let mut checked = build(&k);
         checked
             .execute(RunRequest::cold(BUDGET))
@@ -289,6 +351,8 @@ fn sweep_checkpoint_cache_hits_do_not_change_digest() {
         rob_small: false,
         walk_levels: 3,
         probe_capacity: 1_000,
+        serializing: false,
+        hammer_divs: 0,
     };
     fn grid<'a>(spec: SweepSpec<'a, u64, AttackReport>) -> SweepSpec<'a, u64, AttackReport> {
         (0..6).fold(spec, |s, i| {
@@ -342,6 +406,8 @@ fn probe_ring_overflow_counts_every_dropped_event() {
         rob_small: false,
         walk_levels: 4,
         probe_capacity: 1_000_000,
+        serializing: false,
+        hammer_divs: 0,
     };
     let full = build(&k)
         .execute(RunRequest::cold(BUDGET))
@@ -367,4 +433,40 @@ fn probe_ring_overflow_counts_every_dropped_event() {
         emitted - tiny.trace.len() as u64,
         "events_dropped must equal emitted minus recorded"
     );
+}
+
+/// Real steps a small Figure-10 session takes, counted the way the
+/// benchmark's `cpu.steps_per_op` counts them: polls of an always-false
+/// `run_until` predicate, which is evaluated once per real step and once
+/// more when the run ends.
+fn fig10_steps(secret: bool) -> u64 {
+    let cfg = PortContentionConfig {
+        samples: 24,
+        replays: 30,
+        handler_cycles: 800,
+        walk: WalkTuning::Long,
+        max_cycles: 20_000_000,
+        ambient_interrupt_retires: None,
+        probe: None,
+    };
+    let mut s = port_contention::build_session(secret, &cfg);
+    let mut polls = 0u64;
+    let fired = s.machine_mut().run_until(cfg.max_cycles, |_| {
+        polls += 1;
+        false
+    });
+    assert!(!fired && s.machine().all_halted(), "both contexts finish");
+    polls - 2
+}
+
+/// The exact-steps witness for the fast-forward wake rule. Step counts
+/// are deterministic, so they are pinned exactly: a change to what
+/// fast-forward may skip moves them, and a deliberate one re-pins them
+/// here, quoting the delta. Skipping the cycles in which a ready division
+/// waits only on the busy divider (crediting the stalls) took the
+/// division victim's count from 1,153 to 493 (the multiplication victim's
+/// stayed at 493).
+#[test]
+fn fast_forward_steps_witness() {
+    assert_eq!([fig10_steps(false), fig10_steps(true)], [493, 493]);
 }
