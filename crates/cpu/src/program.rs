@@ -15,8 +15,14 @@ pub struct Program {
 }
 
 impl Program {
-    /// Wraps an instruction vector. Prefer [`Assembler`] for anything with
-    /// control flow.
+    /// Wraps an instruction vector as is. Prefer [`Assembler`] for anything
+    /// with control flow.
+    ///
+    /// Nothing is validated here: the caller must ensure every control
+    /// target is at most the program length and every load and store
+    /// accesses 1, 2, 4 or 8 bytes — the checks [`Assembler::assemble`]
+    /// makes. Executing a load or store of any other size panics in the
+    /// memory model.
     pub fn new(insts: Vec<Inst>) -> Self {
         Program {
             insts: insts.into(),
@@ -80,6 +86,13 @@ pub enum AssembleError {
         /// Program length at assembly time.
         len: usize,
     },
+    /// A load or store whose access size is not 1, 2, 4 or 8 bytes.
+    BadAccessSize {
+        /// Program index of the offending instruction.
+        at: usize,
+        /// The rejected size in bytes.
+        size: u8,
+    },
 }
 
 impl std::fmt::Display for AssembleError {
@@ -92,6 +105,11 @@ impl std::fmt::Display for AssembleError {
                 f,
                 "instruction at pc {at} targets {target}, past the end of the \
                  {len}-instruction program"
+            ),
+            AssembleError::BadAccessSize { at, size } => write!(
+                f,
+                "instruction at pc {at} accesses {size} bytes; loads and \
+                 stores take 1, 2, 4 or 8"
             ),
         }
     }
@@ -319,8 +337,9 @@ impl Assembler {
 
     /// Resolves labels and produces the program, statically rejecting
     /// programs that would only fail at runtime: references to labels that
-    /// were never bound, and control-flow targets beyond the end of the
-    /// program (including ones smuggled in through [`Assembler::push`]).
+    /// were never bound, control-flow targets beyond the end of the
+    /// program, and loads or stores of a size other than 1, 2, 4 or 8
+    /// bytes (including ones smuggled in through [`Assembler::push`]).
     pub fn assemble(&mut self) -> Result<Program, AssembleError> {
         let mut insts = std::mem::take(&mut self.insts);
         for (at, label) in self.fixups.drain(..) {
@@ -343,6 +362,11 @@ impl Assembler {
                     return Err(AssembleError::TargetOutOfRange { at, target, len });
                 }
             }
+            if let Inst::Load { size, .. } | Inst::Store { size, .. } = *inst {
+                if !matches!(size, 1 | 2 | 4 | 8) {
+                    return Err(AssembleError::BadAccessSize { at, size });
+                }
+            }
         }
         Ok(Program::new(insts))
     }
@@ -352,7 +376,7 @@ impl Assembler {
     /// # Panics
     ///
     /// Panics if the program is rejected by [`Assembler::assemble`] (an
-    /// unbound label or out-of-range target).
+    /// unbound label, an out-of-range target or a bad access size).
     pub fn finish(&mut self) -> Program {
         self.assemble().unwrap_or_else(|e| panic!("{e}"))
     }
@@ -431,6 +455,28 @@ mod tests {
     }
 
     #[test]
+    fn assemble_rejects_bad_access_sizes() {
+        let mut asm = Assembler::new();
+        asm.imm(Reg(1), 0x1000).load_sized(Reg(2), Reg(1), 0, 3);
+        assert_eq!(
+            asm.assemble().unwrap_err(),
+            AssembleError::BadAccessSize { at: 1, size: 3 }
+        );
+        let mut asm = Assembler::new();
+        asm.store_sized(Reg(2), Reg(1), 0, 16).halt();
+        assert_eq!(
+            asm.assemble().unwrap_err(),
+            AssembleError::BadAccessSize { at: 0, size: 16 }
+        );
+        let mut asm = Assembler::new();
+        for size in [1, 2, 4, 8] {
+            asm.load_sized(Reg(2), Reg(1), 0, size)
+                .store_sized(Reg(2), Reg(1), 8, size);
+        }
+        assert_eq!(asm.assemble().expect("every legal size").len(), 8);
+    }
+
+    #[test]
     fn assemble_errors_render_readably() {
         let e = AssembleError::TargetOutOfRange {
             at: 3,
@@ -442,6 +488,8 @@ mod tests {
         assert!(AssembleError::UnboundLabel { at: 0 }
             .to_string()
             .contains("unbound label"));
+        let s = AssembleError::BadAccessSize { at: 2, size: 3 }.to_string();
+        assert!(s.contains("pc 2") && s.contains("3 bytes"), "{s}");
     }
 
     #[test]

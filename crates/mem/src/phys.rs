@@ -16,6 +16,9 @@
 //! * each page is itself an [`Arc`]-shared 4 KiB frame, so the first write
 //!   after a clone copies **only the written page** ([`Arc::make_mut`]),
 //!   never the whole store;
+//! * an access goes a page at a time: one map lookup (and, for a write, at
+//!   most one copy) per page touched, so only an access that straddles a
+//!   page boundary is split;
 //! * per-epoch dirty counters ([`PhysMem::epoch_dirty_pages`]) let the
 //!   checkpoint layer report restore cost as *pages actually dirtied
 //!   between capture and rewind*, pinning the O(dirty) claim in benches.
@@ -28,12 +31,57 @@
 use microscope_cache::{PAddr, PAGE_BYTES};
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 
 const PAGE: usize = PAGE_BYTES as usize;
 
 /// One 4 KiB physical frame.
 type Page = [u8; PAGE];
+
+/// The page table: frame number → shared frame.
+type PageMap = HashMap<u64, Arc<Page>, BuildHasherDefault<FrameHasher>>;
+
+/// Hashes a frame number with one multiply by the 64-bit golden ratio.
+///
+/// Frame numbers are small and dense (the allocator hands them out in
+/// order), so they need no protection against chosen collisions, only a
+/// spread across both the low bits (bucket index) and the high bits (the
+/// map's control tag). Results read the map only through lookups and
+/// `len()`, never its iteration order (which the default hasher already
+/// randomized per process).
+#[derive(Default)]
+struct FrameHasher(u64);
+
+impl Hasher for FrameHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the page map hashes only u64 frame numbers")
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+/// Splits the `len` bytes at `addr` at page boundaries, yielding each
+/// piece as `(ppn, offset in that page, range in the caller's buffer)`.
+fn page_pieces(addr: PAddr, len: usize) -> impl Iterator<Item = (u64, usize, Range<usize>)> {
+    let mut done = 0;
+    std::iter::from_fn(move || {
+        (done < len).then(|| {
+            let at = addr.offset(done as u64);
+            let off = at.page_offset() as usize;
+            let span = done..len.min(done + PAGE - off);
+            done = span.end;
+            (at.ppn(), off, span)
+        })
+    })
+}
 
 /// Simulated physical memory (copy-on-write paged; see the module docs).
 ///
@@ -54,7 +102,7 @@ type Page = [u8; PAGE];
 /// ```
 #[derive(Debug, Default)]
 pub struct PhysMem {
-    pages: Arc<HashMap<u64, Arc<Page>>>,
+    pages: Arc<PageMap>,
     next_frame: u64,
     /// Pages copied by CoW since construction (monotone while this lineage
     /// lives; a restore rewinds it to the captured value, which is how the
@@ -85,7 +133,7 @@ impl PhysMem {
     /// out) so a zero PPN can act as a null sentinel in page tables.
     pub fn new() -> Self {
         PhysMem {
-            pages: Arc::new(HashMap::new()),
+            pages: Arc::default(),
             next_frame: 1,
             cow_copied: Cell::new(0),
             epoch_dirty: Cell::new(0),
@@ -196,18 +244,25 @@ impl PhysMem {
         self.page_mut(addr.ppn())[off] = value;
     }
 
-    /// Reads `N` little-endian bytes starting at `addr`. Reads may cross
-    /// page boundaries.
+    /// Reads little-endian bytes starting at `addr`: one page lookup per
+    /// page touched, so only a read that crosses a page boundary splits.
     pub fn read_bytes(&self, addr: PAddr, buf: &mut [u8]) {
-        for (i, b) in buf.iter_mut().enumerate() {
-            *b = self.read_u8(addr.offset(i as u64));
+        for (ppn, off, span) in page_pieces(addr, buf.len()) {
+            let chunk = &mut buf[span];
+            match self.page(ppn) {
+                Some(p) => chunk.copy_from_slice(&p[off..off + chunk.len()]),
+                None => chunk.fill(0),
+            }
         }
     }
 
-    /// Writes bytes starting at `addr`. Writes may cross page boundaries.
+    /// Writes bytes starting at `addr`: one page lookup (and at most one
+    /// copy-on-write) per page touched, so only a write that crosses a page
+    /// boundary splits.
     pub fn write_bytes(&mut self, addr: PAddr, bytes: &[u8]) {
-        for (i, b) in bytes.iter().enumerate() {
-            self.write_u8(addr.offset(i as u64), *b);
+        for (ppn, off, span) in page_pieces(addr, bytes.len()) {
+            let chunk = &bytes[span];
+            self.page_mut(ppn)[off..off + chunk.len()].copy_from_slice(chunk);
         }
     }
 

@@ -26,6 +26,25 @@ echo "== repo benchmark: perfbench tests =="
 # cross-checked op, so a core change that breaks a workload fails here.
 cargo test -q --release --manifest-path perfbench/Cargo.toml
 
+echo "== repo benchmark: pinned report digests (seed 1) =="
+# A host-speed change must not move any simulated result. These are the
+# seed-1 report_digest values of the four workloads; a deliberate change
+# to the model (new timing, new victim, new report field) re-pins them in
+# the same commit and says why.
+for pin in fig10_replay:cde0bd64d931c34e aes_step:e57da434183d5c8c \
+    table1_sweep:f07997de8b77bca9 sec8_plan:bed3067dbfe33e15; do
+    workload=${pin%%:*}
+    want=${pin#*:}
+    got=$(cargo run -q --release --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 0 |
+        awk '$1 == "report_digest" { print $2 }')
+    if [ "$got" != "$want" ]; then
+        echo "error: $workload report_digest ${got:-missing}, pinned $want" >&2
+        exit 1
+    fi
+    echo "$workload report_digest $got"
+done
+
 echo "== sweep smoke: ablate_walk --jobs 2 =="
 # A 5-point sweep fanned over 2 workers; exercises the parallel engine and
 # the shape checks end-to-end in well under a second.
