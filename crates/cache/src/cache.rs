@@ -2,7 +2,7 @@
 
 use crate::addr::LineAddr;
 use crate::config::CacheConfig;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// The line displaced by an insertion, if any.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -23,10 +23,11 @@ struct Way {
 /// simulated physical memory and caches affect *timing* only, exactly the
 /// abstraction level the attack operates at.
 ///
-/// The tag array is [`Arc`]-shared: cloning a `Cache` (checkpoint capture)
+/// The tag array is [`Rc`]-shared: cloning a `Cache` (checkpoint capture)
 /// is a reference bump, and the first mutation after a clone lazily copies
-/// the array back out ([`Arc::make_mut`]). Restores swap the `Arc` instead
-/// of copying sets.
+/// the array back out ([`Rc::make_mut`]). Restores swap the `Rc` instead
+/// of copying sets. The count is not atomic, so `make_mut` on every lookup
+/// costs a plain compare, and a `Cache` stays on the thread that built it.
 ///
 /// ```
 /// use microscope_cache::{Cache, CacheConfig, LineAddr};
@@ -38,7 +39,7 @@ struct Way {
 #[derive(Clone, Debug)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Arc<Vec<Vec<Way>>>,
+    sets: Rc<Vec<Vec<Way>>>,
     tick: u64,
 }
 
@@ -46,7 +47,7 @@ impl Cache {
     /// Creates an empty cache with the given geometry.
     pub fn new(cfg: CacheConfig) -> Self {
         Cache {
-            sets: Arc::new(vec![Vec::with_capacity(cfg.ways); cfg.sets]),
+            sets: Rc::new(vec![Vec::with_capacity(cfg.ways); cfg.sets]),
             cfg,
             tick: 0,
         }
@@ -67,7 +68,7 @@ impl Cache {
         self.tick += 1;
         let tick = self.tick;
         let idx = self.set_index(line);
-        match Arc::make_mut(&mut self.sets)[idx]
+        match Rc::make_mut(&mut self.sets)[idx]
             .iter_mut()
             .find(|w| w.line == line)
         {
@@ -93,7 +94,7 @@ impl Cache {
         let tick = self.tick;
         let ways = self.cfg.ways;
         let idx = self.set_index(line);
-        let set = &mut Arc::make_mut(&mut self.sets)[idx];
+        let set = &mut Rc::make_mut(&mut self.sets)[idx];
         if let Some(w) = set.iter_mut().find(|w| w.line == line) {
             w.last_used = tick;
             return None;
@@ -123,7 +124,7 @@ impl Cache {
     /// whether the line was present.
     pub fn flush_line(&mut self, line: LineAddr) -> bool {
         let idx = self.set_index(line);
-        let set = &mut Arc::make_mut(&mut self.sets)[idx];
+        let set = &mut Rc::make_mut(&mut self.sets)[idx];
         match set.iter().position(|w| w.line == line) {
             Some(pos) => {
                 set.swap_remove(pos);
@@ -135,7 +136,7 @@ impl Cache {
 
     /// Empties the whole cache (a `wbinvd`-style flush).
     pub fn flush_all(&mut self) {
-        for set in Arc::make_mut(&mut self.sets) {
+        for set in Rc::make_mut(&mut self.sets) {
             set.clear();
         }
     }

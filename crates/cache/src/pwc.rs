@@ -15,7 +15,7 @@
 //! address-based primitive, exactly as the kernel module does.
 
 use crate::addr::PAddr;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Configuration of the page-walk cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -50,9 +50,9 @@ impl Default for PwcConfig {
 #[derive(Clone, Debug)]
 pub struct PageWalkCache {
     cfg: PwcConfig,
-    // Arc-shared so checkpoint capture is a reference bump; the first
+    // Rc-shared so checkpoint capture is a reference bump; the first
     // mutation after a clone copies the (small) array back out.
-    entries: Arc<Vec<(PAddr, u64)>>,
+    entries: Rc<Vec<(PAddr, u64)>>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -62,7 +62,7 @@ impl PageWalkCache {
     /// Creates an empty PWC.
     pub fn new(cfg: PwcConfig) -> Self {
         PageWalkCache {
-            entries: Arc::new(Vec::with_capacity(cfg.entries)),
+            entries: Rc::new(Vec::with_capacity(cfg.entries)),
             cfg,
             tick: 0,
             hits: 0,
@@ -80,7 +80,7 @@ impl PageWalkCache {
     pub fn lookup(&mut self, entry_paddr: PAddr) -> bool {
         self.tick += 1;
         let tick = self.tick;
-        match Arc::make_mut(&mut self.entries)
+        match Rc::make_mut(&mut self.entries)
             .iter_mut()
             .find(|(p, _)| *p == entry_paddr)
         {
@@ -101,7 +101,7 @@ impl PageWalkCache {
         self.tick += 1;
         let tick = self.tick;
         let max = self.cfg.entries;
-        let entries = Arc::make_mut(&mut self.entries);
+        let entries = Rc::make_mut(&mut self.entries);
         if let Some((_, used)) = entries.iter_mut().find(|(p, _)| *p == entry_paddr) {
             *used = tick;
             return;
@@ -123,7 +123,7 @@ impl PageWalkCache {
     pub fn flush_entry(&mut self, entry_paddr: PAddr) -> bool {
         match self.entries.iter().position(|(p, _)| *p == entry_paddr) {
             Some(i) => {
-                Arc::make_mut(&mut self.entries).swap_remove(i);
+                Rc::make_mut(&mut self.entries).swap_remove(i);
                 true
             }
             None => false,
@@ -132,7 +132,7 @@ impl PageWalkCache {
 
     /// Empties the PWC.
     pub fn flush_all(&mut self) {
-        Arc::make_mut(&mut self.entries).clear();
+        Rc::make_mut(&mut self.entries).clear();
     }
 
     /// (hits, misses) observed so far.

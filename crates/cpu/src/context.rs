@@ -2,7 +2,7 @@
 
 use crate::isa::{Inst, Reg};
 use crate::program::Program;
-use crate::rob::RobEntry;
+use crate::rob::{RobEntry, RobState};
 use crate::stats::ContextStats;
 use microscope_cache::{LineAddr, PAddr};
 use microscope_mem::AddressSpace;
@@ -79,7 +79,12 @@ pub struct Context {
     pub(crate) arch_regs: [u64; Reg::COUNT],
     /// The reorder buffer window.
     pub(crate) rob: VecDeque<RobEntry>,
-    /// Register alias table: youngest in-flight producer per register.
+    /// Tag of the ROB head: entry `i` has tag `head_tag + i`. Retirement
+    /// advances it; a squash leaves it, so the next dispatches reissue the
+    /// squashed tags. Starts at 1, so tag 0 never names an entry.
+    head_tag: u64,
+    /// Register alias table: tag of the youngest in-flight producer per
+    /// register.
     pub(crate) rat: [Option<u64>; Reg::COUNT],
     /// Set when `Halt` retires (or the program runs out with an empty ROB).
     pub(crate) halted: bool,
@@ -98,17 +103,20 @@ pub struct Context {
     pub(crate) step_every: Option<u64>,
     /// Retired instructions since the last stepping interrupt.
     pub(crate) retires_since_step: u64,
-    /// Completion calendar: `(done_at, seq)` of every `Executing` entry,
+    /// Completion calendar: `(done_at, tag)` of every `Executing` entry,
     /// earliest first. The complete stage pops what is due; its head is
     /// fast-forward's next completion wake.
     pub(crate) calendar: BinaryHeap<Reverse<(u64, u64)>>,
-    /// Seqs of `Waiting` entries with every operand ready, ascending: the
+    /// Tags of `Waiting` entries with every operand ready, ascending: the
     /// issue stage's candidates.
     pub(crate) ready: Vec<u64>,
-    /// Seqs of `Waiting` stores, ascending: what memory disambiguation
+    /// The issue stage's position in `ready`: entries before it were
+    /// already tried this cycle.
+    pub(crate) issue_cursor: usize,
+    /// Tags of `Waiting` stores, ascending: what memory disambiguation
     /// checks a younger load against.
     pub(crate) stores: Vec<u64>,
-    /// Seqs of entries that block younger issue (fences) and are not yet
+    /// Tags of entries that block younger issue (fences) and are not yet
     /// `Done`, ascending.
     pub(crate) fences: Vec<u64>,
     /// Statistics.
@@ -124,6 +132,7 @@ impl Context {
             pc: 0,
             arch_regs: [0; Reg::COUNT],
             rob: VecDeque::new(),
+            head_tag: 1,
             rat: [None; Reg::COUNT],
             halted: false,
             fetch_stopped: false,
@@ -135,6 +144,7 @@ impl Context {
             retires_since_step: 0,
             calendar: BinaryHeap::new(),
             ready: Vec::new(),
+            issue_cursor: 0,
             stores: Vec::new(),
             fences: Vec::new(),
             stats: ContextStats::default(),
@@ -196,38 +206,68 @@ impl Context {
         self.rob.len()
     }
 
-    /// ROB position of the live entry `seq` (the ROB is seq-sorted).
-    pub(crate) fn index_of(&self, seq: u64) -> usize {
-        self.rob.partition_point(|e| e.seq < seq)
+    /// Tag of the entry at ROB position `idx`.
+    pub(crate) fn tag_of(&self, idx: usize) -> u64 {
+        self.head_tag + idx as u64
+    }
+
+    /// ROB position of the live entry `tag`.
+    pub(crate) fn index_of(&self, tag: u64) -> usize {
+        let idx = tag.wrapping_sub(self.head_tag) as usize;
+        debug_assert!(
+            idx < self.rob.len(),
+            "tag {tag} is not live: head tag {}, {} entries",
+            self.head_tag,
+            self.rob.len()
+        );
+        idx
+    }
+
+    /// The live entry `tag`.
+    pub(crate) fn entry(&self, tag: u64) -> &RobEntry {
+        &self.rob[self.index_of(tag)]
     }
 
     /// Appends a freshly dispatched entry (operands already captured) and
     /// threads it into the RAT, the consumer lists and the issue lists.
     pub(crate) fn dispatch(&mut self, e: RobEntry) {
-        let seq = e.seq;
+        let tag = self.tag_of(self.rob.len());
         if e.srcs_ready() {
-            self.ready.push(seq);
+            self.ready.push(tag);
         }
         if matches!(e.inst, Inst::Store { .. }) {
-            self.stores.push(seq);
+            self.stores.push(tag);
         }
         if e.blocks_younger {
-            self.fences.push(seq);
+            self.fences.push(tag);
         }
         if let Some(dst) = e.dst() {
-            self.rat[dst.index()] = Some(seq);
+            self.rat[dst.index()] = Some(tag);
         }
         self.rob.push_back(e);
         self.link(self.rob.len() - 1);
     }
 
+    /// Removes the ROB head for retirement, clearing its RAT mapping if it
+    /// is still the youngest producer of its register.
+    pub(crate) fn pop_head(&mut self) -> Option<RobEntry> {
+        let e = self.rob.pop_front()?;
+        if let Some(dst) = e.dst() {
+            if self.rat[dst.index()] == Some(self.head_tag) {
+                self.rat[dst.index()] = None;
+            }
+        }
+        self.head_tag += 1;
+        Some(e)
+    }
+
     /// Threads ROB entry `j` onto the consumer list of each producer it
     /// waits on.
     fn link(&mut self, j: usize) {
-        let (seq, srcs) = (self.rob[j].seq, self.rob[j].srcs);
-        for (slot, p) in srcs.producers() {
+        let tag = self.tag_of(j);
+        for (slot, p) in self.rob[j].srcs.producers() {
             let producer = self.index_of(p);
-            let head = std::mem::replace(&mut self.rob[producer].consumers, seq);
+            let head = std::mem::replace(&mut self.rob[producer].consumers, tag);
             self.rob[j].next_consumer[slot] = head;
         }
     }
@@ -235,12 +275,19 @@ impl Context {
     /// Pops the oldest entry of the calendar whose completion is due.
     pub(crate) fn pop_due(&mut self, now: u64) -> Option<u64> {
         match self.calendar.peek() {
-            Some(&Reverse((done_at, seq))) if done_at <= now => {
+            Some(&Reverse((done_at, tag))) if done_at <= now => {
                 self.calendar.pop();
-                Some(seq)
+                Some(tag)
             }
             _ => None,
         }
+    }
+
+    /// Drops from the store list every store that has left `Waiting`.
+    pub(crate) fn prune_issued_stores(&mut self) {
+        let (rob, head) = (&self.rob, self.head_tag);
+        self.stores
+            .retain(|&t| rob[(t - head) as usize].state == RobState::Waiting);
     }
 
     /// Discards every in-flight instruction; returns how many were dropped.
@@ -255,21 +302,21 @@ impl Context {
         n
     }
 
-    /// Discards entries strictly younger than `seq`; returns the count.
+    /// Discards entries strictly younger than `tag`; returns the count.
     /// The RAT and the consumer lists are rebuilt from the survivors.
-    pub(crate) fn squash_younger_than(&mut self, seq: u64) -> usize {
-        let keep = self.index_of(seq + 1);
+    pub(crate) fn squash_younger_than(&mut self, tag: u64) -> usize {
+        let keep = self.index_of(tag) + 1;
         let n = self.rob.len() - keep;
         self.rob.truncate(keep);
         for list in [&mut self.ready, &mut self.stores, &mut self.fences] {
-            list.truncate(list.partition_point(|&s| s <= seq));
+            list.truncate(list.partition_point(|&t| t <= tag));
         }
-        self.calendar.retain(|&Reverse((_, s))| s <= seq);
+        self.calendar.retain(|&Reverse((_, t))| t <= tag);
         self.rat = [None; Reg::COUNT];
         for j in 0..keep {
             self.rob[j].consumers = 0;
             if let Some(dst) = self.rob[j].dst() {
-                self.rat[dst.index()] = Some(self.rob[j].seq);
+                self.rat[dst.index()] = Some(self.tag_of(j));
             }
             self.link(j);
         }
@@ -279,37 +326,47 @@ impl Context {
     /// Checks the incremental state against a plain walk of the ROB.
     #[cfg(any(test, debug_assertions))]
     pub(crate) fn audit(&self) {
-        use crate::rob::RobState;
-        let seqs = |f: &dyn Fn(&RobEntry) -> bool| -> Vec<u64> {
-            self.rob.iter().filter(|e| f(e)).map(|e| e.seq).collect()
+        let tags = |f: &dyn Fn(&RobEntry) -> bool| -> Vec<u64> {
+            (0..self.rob.len())
+                .filter(|&j| f(&self.rob[j]))
+                .map(|j| self.tag_of(j))
+                .collect()
         };
         let waiting = |e: &RobEntry| e.state == RobState::Waiting;
-        assert_eq!(self.ready, seqs(&|e| waiting(e) && e.srcs_ready()));
+        assert_eq!(self.ready, tags(&|e| waiting(e) && e.srcs_ready()));
         assert_eq!(
             self.stores,
-            seqs(&|e| waiting(e) && matches!(e.inst, Inst::Store { .. }))
+            tags(&|e| waiting(e) && matches!(e.inst, Inst::Store { .. }))
         );
         assert_eq!(
             self.fences,
-            seqs(&|e| e.blocks_younger && e.state != RobState::Done)
+            tags(&|e| e.blocks_younger && e.state != RobState::Done)
         );
         let mut due: Vec<(u64, u64)> = self.calendar.iter().map(|r| r.0).collect();
         due.sort_unstable();
-        let mut executing: Vec<(u64, u64)> = (self.rob.iter())
-            .filter_map(|e| match e.state {
-                RobState::Executing { done_at } => Some((done_at, e.seq)),
+        let mut expected: Vec<(u64, u64)> = (self.rob.iter().enumerate())
+            .filter_map(|(j, e)| match e.state {
+                RobState::Executing { done_at } => Some((done_at, self.tag_of(j))),
                 _ => None,
             })
             .collect();
-        executing.sort_unstable();
-        assert_eq!(due, executing);
-        for e in &self.rob {
+        expected.sort_unstable();
+        assert_eq!(due, expected);
+        let live = |t: u64| self.rob.get(t.wrapping_sub(self.head_tag) as usize);
+        for (j, e) in self.rob.iter().enumerate() {
             for (_, p) in e.srcs.producers() {
-                let producer = self.rob.get(self.index_of(p));
                 assert!(
-                    producer.is_some_and(|q| q.seq == p && q.state != RobState::Done),
-                    "seq {} waits on {p}, which has already delivered",
-                    e.seq
+                    p < self.tag_of(j) && live(p).is_some_and(|q| q.state != RobState::Done),
+                    "tag {} waits on {p}, which is not an older undelivered entry",
+                    self.tag_of(j)
+                );
+            }
+        }
+        for (r, t) in self.rat.iter().enumerate() {
+            if let Some(t) = *t {
+                assert!(
+                    live(t).is_some_and(|e| e.dst().map(Reg::index) == Some(r)),
+                    "RAT maps r{r} to tag {t}, which is not a live producer of it"
                 );
             }
         }
@@ -395,6 +452,71 @@ mod tests {
         assert_eq!(c.rob_occupancy(), 0);
         assert!(c.rat.iter().all(Option::is_none));
         assert!(c.ready.is_empty());
+    }
+
+    fn waiting_on(seq: u64, dst: Reg, producer: u64) -> RobEntry {
+        let mut e = dummy_entry(seq, dst);
+        e.srcs = [Src::Pending(producer)].into_iter().collect();
+        e
+    }
+
+    /// Completes and retires the head, as the machine would.
+    fn retire_head(c: &mut Context) {
+        let head = c.tag_of(0);
+        c.rob[0].state = RobState::Done;
+        c.ready.retain(|&t| t != head);
+        assert!(c.pop_head().is_some());
+    }
+
+    #[test]
+    fn squash_younger_reissues_the_squashed_tags() {
+        let mut c = ctx();
+        c.dispatch(dummy_entry(1, Reg(1)));
+        retire_head(&mut c);
+        // Global seqs skip what the other context took; tags do not.
+        c.dispatch(dummy_entry(12, Reg(1)));
+        c.dispatch(waiting_on(15, Reg(2), 2));
+        c.dispatch(waiting_on(17, Reg(3), 3));
+        assert_eq!((c.tag_of(0), c.tag_of(2)), (2, 4));
+        assert_eq!(c.squash_younger_than(2), 2);
+        assert_eq!(c.rat[1], Some(2), "the RAT is rebuilt with tags");
+        c.dispatch(waiting_on(30, Reg(2), 2));
+        assert_eq!(c.entry(3).seq, 30, "the re-dispatch takes the reissued tag");
+        assert_eq!(c.index_of(3), 1);
+        assert_eq!(c.tag_of(c.index_of(3)), 3);
+        assert_eq!(c.rat[2], Some(3));
+        assert_eq!(c.rat[3], None, "the squashed producer left the RAT");
+        assert_eq!(c.entry(2).consumers, 3, "the producer links the new entry");
+        assert_eq!(c.entry(3).next_consumer[0], 0);
+        assert_eq!(c.ready, [2]);
+        c.audit();
+    }
+
+    #[test]
+    fn squash_all_reissues_from_the_head_tag() {
+        let mut c = ctx();
+        c.dispatch(dummy_entry(1, Reg(1)));
+        c.dispatch(dummy_entry(2, Reg(2)));
+        retire_head(&mut c);
+        assert_eq!(c.squash_all(), 1);
+        c.dispatch(dummy_entry(7, Reg(4)));
+        c.dispatch(waiting_on(9, Reg(5), 2));
+        assert_eq!(c.entry(2).seq, 7, "tag 2 is reissued after the squash");
+        assert_eq!((c.index_of(2), c.index_of(3)), (0, 1));
+        assert_eq!((c.tag_of(0), c.tag_of(1)), (2, 3));
+        assert_eq!((c.rat[4], c.rat[5]), (Some(2), Some(3)));
+        assert_eq!(c.entry(2).consumers, 3);
+        c.audit();
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "is not live")]
+    fn index_of_rejects_a_dead_tag() {
+        let mut c = ctx();
+        c.dispatch(dummy_entry(1, Reg(1)));
+        retire_head(&mut c);
+        c.index_of(1);
     }
 
     #[test]

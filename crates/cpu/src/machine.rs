@@ -559,8 +559,8 @@ impl Machine {
             if !ctx.fetch_stopped && ctx.rob.len() < self.cfg.rob_size {
                 wake = wake.min(ctx.fetch_stalled_until);
             }
-            for &seq in &ctx.ready {
-                let idx = ctx.index_of(seq);
+            for &tag in &ctx.ready {
+                let idx = ctx.index_of(tag);
                 if !self.can_issue(ci, idx) {
                     continue;
                 }
@@ -669,15 +669,12 @@ impl Machine {
         // moving the entry out of the ROB is pointer-sized bookkeeping,
         // where cloning it would heap-copy the operand vector every single
         // retirement (the hottest loop in the simulator).
-        let entry = self.contexts[ci].rob.pop_front().expect("head exists");
+        let entry = self.contexts[ci].pop_head().expect("head exists");
         let ctx = &mut self.contexts[ci];
         ctx.stats.retired += 1;
         // Architectural register write.
         if let Some(dst) = entry.dst() {
             ctx.arch_regs[dst.index()] = entry.value;
-            if ctx.rat[dst.index()] == Some(entry.seq) {
-                ctx.rat[dst.index()] = None;
-            }
         }
         self.tracer.record(
             now,
@@ -876,20 +873,20 @@ impl Machine {
     fn complete_stage(&mut self, now: u64) {
         for ci in 0..self.contexts.len() {
             // Everything due completes this cycle, oldest first: all of it
-            // is due exactly now, so calendar order is seq order.
-            while let Some(seq) = self.contexts[ci].pop_due(now) {
-                if !self.complete_one(ci, seq, now) {
+            // is due exactly now, so calendar order is tag order.
+            while let Some(tag) = self.contexts[ci].pop_due(now) {
+                if !self.complete_one(ci, tag, now) {
                     break;
                 }
             }
         }
     }
 
-    /// Completes entry `seq`; returns `false` when it was a mispredicted
+    /// Completes entry `tag`; returns `false` when it was a mispredicted
     /// branch, which squashed everything younger.
-    fn complete_one(&mut self, ci: usize, seq: u64, now: u64) -> bool {
+    fn complete_one(&mut self, ci: usize, tag: u64, now: u64) -> bool {
         let ctx = &mut self.contexts[ci];
-        let idx = ctx.index_of(seq);
+        let idx = ctx.index_of(tag);
         let e = &mut ctx.rob[idx];
         if e.fault.is_some() {
             e.state = RobState::Faulted;
@@ -897,17 +894,18 @@ impl Machine {
         }
         e.state = RobState::Done;
         let (value, mut next) = (e.value, e.consumers);
-        let (inst, taken, predicted, pc) = (e.inst, e.value != 0, e.predicted_taken, e.pc);
+        let (seq, inst, pc) = (e.seq, e.inst, e.pc);
+        let (taken, predicted) = (e.value != 0, e.predicted_taken);
         if e.blocks_younger {
-            ctx.fences.retain(|&f| f != seq);
+            ctx.fences.retain(|&f| f != tag);
         }
         while next != 0 {
-            let j = ctx.index_of(next);
+            let consumer = next;
+            let j = ctx.index_of(consumer);
             let c = &mut ctx.rob[j];
-            let consumer = c.seq;
-            next = c.deliver(seq, value);
+            next = c.deliver(tag, value);
             if c.srcs_ready() {
-                let at = ctx.ready.partition_point(|&s| s < consumer);
+                let at = ctx.ready.partition_point(|&t| t < consumer);
                 ctx.ready.insert(at, consumer);
             }
         }
@@ -922,7 +920,7 @@ impl Machine {
             return true;
         }
         let ctx = &mut self.contexts[ci];
-        let dropped = ctx.squash_younger_than(seq);
+        let dropped = ctx.squash_younger_than(tag);
         ctx.stats.record_squash(SquashCause::Mispredict, dropped);
         ctx.pc = if taken { target } else { pc + 1 };
         ctx.fetch_stopped = false;
@@ -945,44 +943,47 @@ impl Machine {
     // Issue / execute
     // ------------------------------------------------------------------
 
-    /// Issues ready entries oldest-first ACROSS contexts (merged by
-    /// sequence number). Age-ordered arbitration is what keeps one SMT
+    /// Issues ready entries oldest-first ACROSS contexts (merged by global
+    /// sequence number, each context walking its tag-ordered ready list
+    /// with a cursor). Age-ordered arbitration is what keeps one SMT
     /// context from starving the other on a contended unit like the
     /// divider. Each candidate is tried at most once: one that loses port
     /// arbitration (or a gating check) waits for the next cycle. A store
     /// issued this cycle still gates younger loads until the cycle ends.
     fn issue_stage(&mut self, now: u64) {
         let mut budget = self.cfg.issue_width;
-        let mut after = 0;
         let mut store_issued = false;
+        for c in &mut self.contexts {
+            c.issue_cursor = 0;
+        }
         while budget > 0 {
             let next = (self.contexts.iter().enumerate())
                 .filter_map(|(ci, c)| {
-                    Some((*c.ready.get(c.ready.partition_point(|&s| s <= after))?, ci))
+                    let idx = c.index_of(*c.ready.get(c.issue_cursor)?);
+                    Some((c.rob[idx].seq, ci, idx))
                 })
                 .min();
-            let Some((seq, ci)) = next else { break };
-            after = seq;
-            let idx = self.contexts[ci].index_of(seq);
+            let Some((_, ci, idx)) = next else { break };
+            // An issued entry leaves `ready`, which moves the next one
+            // under the cursor; a rejected one stays and is stepped over.
             if self.can_issue(ci, idx) && self.try_execute(ci, idx, now) {
                 budget -= 1;
                 store_issued |= matches!(self.contexts[ci].rob[idx].inst, Inst::Store { .. });
+            } else {
+                self.contexts[ci].issue_cursor += 1;
             }
         }
         if store_issued {
-            for c in &mut self.contexts {
-                let rob = &c.rob;
-                c.stores.retain(|&s| {
-                    rob[rob.partition_point(|e| e.seq < s)].state == RobState::Waiting
-                });
-            }
+            self.contexts
+                .iter_mut()
+                .for_each(Context::prune_issued_stores);
         }
     }
 
     /// Whether the ready entry at `idx` passes the ordering checks.
     fn can_issue(&self, ci: usize, idx: usize) -> bool {
         let ctx = &self.contexts[ci];
-        let e = &ctx.rob[idx];
+        let (e, tag) = (&ctx.rob[idx], ctx.tag_of(idx));
         // Serialized instructions execute only once non-speculative (every
         // older entry Done).
         if e.exec_at_head && ctx.rob.range(..idx).any(|o| o.state != RobState::Done) {
@@ -990,7 +991,7 @@ impl Machine {
         }
         // Fences (and the post-flush defensive fence) block younger issue
         // until they complete; a Faulted fence keeps blocking.
-        if ctx.fences.first().is_some_and(|&f| f < e.seq) {
+        if ctx.fences.first().is_some_and(|&f| f < tag) {
             return false;
         }
         // Memory disambiguation: a load may not issue past an older
@@ -1002,8 +1003,8 @@ impl Machine {
             let (lo, hi) = e
                 .resolved_vaddr_range()
                 .expect("load with ready operands has a resolved address");
-            for &s in ctx.stores.iter().take_while(|&&s| s < e.seq) {
-                match ctx.rob[ctx.index_of(s)].resolved_vaddr_range() {
+            for &s in ctx.stores.iter().take_while(|&&s| s < tag) {
+                match ctx.entry(s).resolved_vaddr_range() {
                     None => return false,
                     Some((slo, shi)) if lo < shi && slo < hi => return false,
                     Some(_) => {}
@@ -1120,12 +1121,13 @@ impl Machine {
         let done_at = now + latency.max(1);
         e.state = RobState::Executing { done_at };
         let ctx = &mut self.contexts[ci];
+        let tag = ctx.tag_of(idx);
         let at = ctx
             .ready
-            .binary_search(&seq)
+            .binary_search(&tag)
             .expect("issued entry was ready");
         ctx.ready.remove(at);
-        ctx.calendar.push(Reverse((done_at, seq)));
+        ctx.calendar.push(Reverse((done_at, tag)));
         true
     }
 
@@ -1276,11 +1278,11 @@ impl Machine {
                 let ctx = &self.contexts[ci];
                 let srcs: SrcList = (inst.sources().iter())
                     .map(|r| match ctx.rat[r.index()] {
-                        Some(pseq) => match &ctx.rob[ctx.index_of(pseq)] {
+                        Some(ptag) => match ctx.entry(ptag) {
                             producer if producer.state == RobState::Done => {
                                 Src::Ready(producer.value)
                             }
-                            _ => Src::Pending(pseq),
+                            _ => Src::Pending(ptag),
                         },
                         None => Src::Ready(ctx.arch_regs[r.index()]),
                     })

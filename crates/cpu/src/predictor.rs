@@ -12,6 +12,8 @@
 //! The table is shared by both hardware contexts (no PCID tagging), which
 //! also provides the BTB/PHT-collision channel referenced in Table 1.
 
+use std::rc::Rc;
+
 /// Predictor geometry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PredictorConfig {
@@ -33,13 +35,12 @@ impl Default for PredictorConfig {
 
 /// A pattern-history-table predictor with 2-bit saturating counters.
 ///
-/// The PHT is [`Arc`](std::sync::Arc)-shared so checkpoint capture is a
-/// reference bump;
-/// the first training after a clone copies the table back out.
+/// The PHT is [`Rc`]-shared so checkpoint capture is a reference bump; the
+/// first training after a clone copies the table back out.
 #[derive(Clone, Debug)]
 pub struct BranchPredictor {
     cfg: PredictorConfig,
-    pht: std::sync::Arc<Vec<u8>>,
+    pht: Rc<Vec<u8>>,
     lookups: u64,
     mispredicts: u64,
 }
@@ -54,7 +55,7 @@ impl BranchPredictor {
         assert!(cfg.pht_entries.is_power_of_two());
         assert!(cfg.reset_value <= 3);
         BranchPredictor {
-            pht: std::sync::Arc::new(vec![cfg.reset_value; cfg.pht_entries]),
+            pht: Rc::new(vec![cfg.reset_value; cfg.pht_entries]),
             cfg,
             lookups: 0,
             mispredicts: 0,
@@ -80,7 +81,7 @@ impl BranchPredictor {
     /// the earlier prediction was wrong.
     pub fn train(&mut self, pc: usize, taken: bool, was_mispredict: bool) {
         let idx = self.index(pc);
-        let c = &mut std::sync::Arc::make_mut(&mut self.pht)[idx];
+        let c = &mut Rc::make_mut(&mut self.pht)[idx];
         if taken {
             *c = (*c + 1).min(3);
         } else {
@@ -96,14 +97,14 @@ impl BranchPredictor {
     /// priming technique).
     pub fn prime(&mut self, pc: usize, taken: bool) {
         let idx = self.index(pc);
-        std::sync::Arc::make_mut(&mut self.pht)[idx] = if taken { 3 } else { 0 };
+        Rc::make_mut(&mut self.pht)[idx] = if taken { 3 } else { 0 };
     }
 
     /// Resets every counter — the enclave-boundary predictor flush
     /// countermeasure the paper notes "puts it into a known state".
     pub fn flush(&mut self) {
         let reset = self.cfg.reset_value;
-        for c in std::sync::Arc::make_mut(&mut self.pht) {
+        for c in Rc::make_mut(&mut self.pht) {
             *c = reset;
         }
     }

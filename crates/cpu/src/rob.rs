@@ -29,7 +29,8 @@ pub enum RobState {
 pub enum Src {
     /// Resolved value.
     Ready(u64),
-    /// Waiting on the ROB entry with this sequence number.
+    /// Waiting on the ROB entry with this tag (its context-local ROB
+    /// number; see [`RobEntry::seq`] for the global one).
     Pending(u64),
 }
 
@@ -159,12 +160,12 @@ pub struct RobEntry {
     /// Whether this entry must only execute non-speculatively (all older
     /// entries complete): fences and fenced RDRAND.
     pub exec_at_head: bool,
-    /// Head of this entry's consumer list: the youngest entry waiting on
-    /// its value (0 = none). Completion delivers along the list instead of
+    /// Head of this entry's consumer list: the tag of the youngest entry
+    /// waiting on its value (0 = none). Completion delivers along the list instead of
     /// broadcasting over the younger window.
     pub(crate) consumers: u64,
-    /// Per operand slot, the next consumer on the list of the producer that
-    /// slot waits on (0 = end). Only the first slot naming a producer is
+    /// Per operand slot, the tag of the next consumer on the list of the
+    /// producer that slot waits on (0 = end). Only the first slot naming a producer is
     /// linked.
     pub(crate) next_consumer: [u64; 2],
 }
@@ -188,13 +189,13 @@ impl RobEntry {
         vals
     }
 
-    /// Substitutes `value` for any pending reference to producer `seq` and
+    /// Substitutes `value` for any pending reference to producer `tag` and
     /// returns the next consumer on that producer's list (0 = end): the
     /// link held by the first slot that named it.
-    pub fn deliver(&mut self, seq: u64, value: u64) -> u64 {
+    pub fn deliver(&mut self, tag: u64, value: u64) -> u64 {
         let mut next = None;
         for i in 0..self.srcs.len() {
-            if self.srcs.items[i] == Src::Pending(seq) {
+            if self.srcs.items[i] == Src::Pending(tag) {
                 self.srcs.items[i] = Src::Ready(value);
                 next = next.or(Some(self.next_consumer[i]));
             }

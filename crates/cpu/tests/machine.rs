@@ -5,7 +5,7 @@
 use microscope_cache::Level;
 use microscope_cpu::{
     Assembler, Cond, ContextId, CoreConfig, FaultEvent, HwParts, MachineBuilder, Reg, RunExit,
-    Supervisor, SupervisorAction,
+    Supervisor, SupervisorAction, TraceKind,
 };
 use microscope_mem::{AddressSpace, PhysMem, PteFlags, VAddr, PAGE_BYTES};
 
@@ -386,6 +386,47 @@ fn unfenced_replays_reexecute_the_transmit_load_every_time() {
         stats.loads_executed >= 2 * 5,
         "every replay re-executes handle + transmit (got {})",
         stats.loads_executed
+    );
+}
+
+#[test]
+fn smt_issue_is_oldest_first_by_global_seq() {
+    // Both contexts dispatch independent ALU work faster than the three
+    // ALU ports drain it, so each ready list holds a backlog of fetch
+    // groups whose global seqs interleave with the other context's.
+    let program = || {
+        let mut asm = Assembler::new();
+        for i in 0..64 {
+            asm.imm(Reg(1 + i % 8), u64::from(i));
+        }
+        asm.halt();
+        asm.finish()
+    };
+    let cfg = CoreConfig {
+        trace: true,
+        ..CoreConfig::default()
+    };
+    let mut m = MachineBuilder::new()
+        .core_config(cfg)
+        .context(program())
+        .context(program())
+        .build();
+    assert_eq!(m.run(10_000), RunExit::AllHalted);
+    let issues: Vec<(ContextId, u64)> = (m.tracer().events().into_iter())
+        .filter_map(|e| match e.kind {
+            TraceKind::Issue { seq, .. } => Some((e.ctx, seq)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(issues.len(), 2 * 65, "every instruction issues once");
+    assert!(
+        issues.windows(2).all(|w| w[0].1 < w[1].1),
+        "issue order is not oldest-first by seq: {issues:?}"
+    );
+    let switches = issues.windows(2).filter(|w| w[0].0 != w[1].0).count();
+    assert!(
+        switches >= 16,
+        "the contexts' ready entries interleave ({switches} switches)"
     );
 }
 

@@ -74,11 +74,23 @@ impl AddressSpace {
 
     /// The physical addresses of all four entries translating `vaddr`
     /// (PGD, PUD, PMD, PTE order) — exactly what the Replayer flushes before
-    /// each replay. Entries below a non-present level are `None`.
+    /// each replay. Entries below a non-present level are `None`. One walk
+    /// down the tables: entry `i` is [`AddressSpace::entry_paddr`] at level
+    /// `i`.
     pub fn entry_paddrs(&self, phys: &PhysMem, vaddr: VAddr) -> [Option<PAddr>; 4] {
         let mut out = [None; 4];
-        for (i, l) in PtLevel::ALL.into_iter().enumerate() {
-            out[i] = self.entry_paddr(phys, vaddr, l);
+        let mut table = self.cr3;
+        for (slot, l) in out.iter_mut().zip(PtLevel::ALL) {
+            let entry = table.offset(vaddr.table_index(l) * 8);
+            *slot = Some(entry);
+            if l == PtLevel::Pte {
+                break;
+            }
+            let pte = Pte(phys.read_u64(entry));
+            if !pte.present() || pte.ppn() == 0 {
+                break;
+            }
+            table = PAddr(pte.ppn() * PAGE_BYTES);
         }
         out
     }

@@ -11,10 +11,10 @@
 //!
 //! [`PhysMem`] therefore shares its pages:
 //!
-//! * the page table (`ppn → page`) is an [`Arc`]-shared map, so **cloning a
+//! * the page table (`ppn → page`) is an [`Rc`]-shared map, so **cloning a
 //!   `PhysMem` is one reference bump** — O(1), no byte is copied;
-//! * each page is itself an [`Arc`]-shared 4 KiB frame, so the first write
-//!   after a clone copies **only the written page** ([`Arc::make_mut`]),
+//! * each page is itself an [`Rc`]-shared 4 KiB frame, so the first write
+//!   after a clone copies **only the written page** ([`Rc::make_mut`]),
 //!   never the whole store;
 //! * an access goes a page at a time: one map lookup (and, for a write, at
 //!   most one copy) per page touched, so only an access that straddles a
@@ -27,13 +27,18 @@
 //! zero page). Page tables, victim data, monitor buffers and AES tables all
 //! live here, which is what lets the cache hierarchy treat them uniformly —
 //! and what makes the CoW sharing pay for the page-table frames too.
+//!
+//! The counts are `Rc`, not `Arc`: every write pays a `make_mut`, and a
+//! non-atomic count makes that a plain compare instead of a locked
+//! compare-and-swap. A machine never leaves the thread that built it, so
+//! `PhysMem` is `!Send` by design (see [`PhysMem`]).
 
 use microscope_cache::{PAddr, PAGE_BYTES};
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
-use std::sync::Arc;
+use std::rc::Rc;
 
 const PAGE: usize = PAGE_BYTES as usize;
 
@@ -41,7 +46,7 @@ const PAGE: usize = PAGE_BYTES as usize;
 type Page = [u8; PAGE];
 
 /// The page table: frame number → shared frame.
-type PageMap = HashMap<u64, Arc<Page>, BuildHasherDefault<FrameHasher>>;
+type PageMap = HashMap<u64, Rc<Page>, BuildHasherDefault<FrameHasher>>;
 
 /// Hashes a frame number with one multiply by the 64-bit golden ratio.
 ///
@@ -100,9 +105,18 @@ fn page_pieces(addr: PAddr, len: usize) -> impl Iterator<Item = (u64, usize, Ran
 /// m.write_u64(addr, 1);
 /// assert_eq!(snap.read_u64(addr), 0xdead_beef);
 /// ```
+///
+/// Its pages are shared through non-atomic [`Rc`] counts, so a `PhysMem`
+/// cannot cross threads; a store shared between threads would have to
+/// bring `Arc` back on purpose:
+///
+/// ```compile_fail
+/// fn needs_send<T: Send>(_: T) {}
+/// needs_send(microscope_mem::PhysMem::new());
+/// ```
 #[derive(Debug, Default)]
 pub struct PhysMem {
-    pages: Arc<PageMap>,
+    pages: Rc<PageMap>,
     next_frame: u64,
     /// Pages copied by CoW since construction (monotone while this lineage
     /// lives; a restore rewinds it to the captured value, which is how the
@@ -119,7 +133,7 @@ impl Clone for PhysMem {
     /// one of the clones writes.
     fn clone(&self) -> Self {
         PhysMem {
-            pages: Arc::clone(&self.pages),
+            pages: Rc::clone(&self.pages),
             next_frame: self.next_frame,
             cow_copied: self.cow_copied.clone(),
             epoch_dirty: self.epoch_dirty.clone(),
@@ -133,7 +147,7 @@ impl PhysMem {
     /// out) so a zero PPN can act as a null sentinel in page tables.
     pub fn new() -> Self {
         PhysMem {
-            pages: Arc::default(),
+            pages: Rc::default(),
             next_frame: 1,
             cow_copied: Cell::new(0),
             epoch_dirty: Cell::new(0),
@@ -193,11 +207,11 @@ impl PhysMem {
     /// Whether the given page is currently shared with a snapshot (its next
     /// write will CoW-copy it).
     pub fn page_is_shared(&self, ppn: u64) -> bool {
-        Arc::strong_count(&self.pages) > 1
+        Rc::strong_count(&self.pages) > 1
             || self
                 .pages
                 .get(&ppn)
-                .is_some_and(|p| Arc::strong_count(p) > 1)
+                .is_some_and(|p| Rc::strong_count(p) > 1)
     }
 
     fn page(&self, ppn: u64) -> Option<&Page> {
@@ -206,14 +220,14 @@ impl PhysMem {
 
     /// The writable view of a page, materializing or CoW-copying as needed.
     fn page_mut(&mut self, ppn: u64) -> &mut Page {
-        if Arc::strong_count(&self.pages) > 1 {
+        if Rc::strong_count(&self.pages) > 1 {
             self.table_copies.set(self.table_copies.get() + 1);
         }
-        let table = Arc::make_mut(&mut self.pages);
+        let table = Rc::make_mut(&mut self.pages);
         let slot = match table.entry(ppn) {
             std::collections::hash_map::Entry::Occupied(e) => {
                 let slot = e.into_mut();
-                if Arc::strong_count(slot) > 1 {
+                if Rc::strong_count(slot) > 1 {
                     // First write to this page since a snapshot: copy it now.
                     self.cow_copied.set(self.cow_copied.get() + 1);
                     self.epoch_dirty.set(self.epoch_dirty.get() + 1);
@@ -224,10 +238,10 @@ impl PhysMem {
                 // A fresh materialization is epoch-dirty too: a rewind to
                 // the epoch's snapshot discards it like any other write.
                 self.epoch_dirty.set(self.epoch_dirty.get() + 1);
-                e.insert(Arc::new([0u8; PAGE]))
+                e.insert(Rc::new([0u8; PAGE]))
             }
         };
-        Arc::make_mut(slot)
+        Rc::make_mut(slot)
     }
 
     /// Reads one byte.

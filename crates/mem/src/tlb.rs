@@ -10,7 +10,7 @@
 
 use crate::pte::PteFlags;
 use crate::vaddr::VAddr;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A cached translation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -66,13 +66,13 @@ struct TlbWay {
 
 /// One set-associative TLB.
 ///
-/// The entry array is [`Arc`]-shared: cloning a `Tlb` (checkpoint capture)
+/// The entry array is [`Rc`]-shared: cloning a `Tlb` (checkpoint capture)
 /// is a reference bump; the first mutation after a clone copies the array
-/// back out via [`Arc::make_mut`].
+/// back out via [`Rc::make_mut`].
 #[derive(Clone, Debug)]
 pub struct Tlb {
     cfg: TlbConfig,
-    sets: Arc<Vec<Vec<TlbWay>>>,
+    sets: Rc<Vec<Vec<TlbWay>>>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -82,7 +82,7 @@ impl Tlb {
     /// Creates an empty TLB.
     pub fn new(cfg: TlbConfig) -> Self {
         Tlb {
-            sets: Arc::new(vec![Vec::with_capacity(cfg.ways); cfg.sets]),
+            sets: Rc::new(vec![Vec::with_capacity(cfg.ways); cfg.sets]),
             cfg,
             tick: 0,
             hits: 0,
@@ -104,7 +104,7 @@ impl Tlb {
         self.tick += 1;
         let tick = self.tick;
         let idx = self.set_of(vpn);
-        match Arc::make_mut(&mut self.sets)[idx]
+        match Rc::make_mut(&mut self.sets)[idx]
             .iter_mut()
             .find(|w| w.entry.vpn == vpn && w.entry.pcid == pcid)
         {
@@ -127,7 +127,7 @@ impl Tlb {
         let tick = self.tick;
         let ways = self.cfg.ways;
         let idx = self.set_of(entry.vpn);
-        let set = &mut Arc::make_mut(&mut self.sets)[idx];
+        let set = &mut Rc::make_mut(&mut self.sets)[idx];
         if let Some(w) = set
             .iter_mut()
             .find(|w| w.entry.vpn == entry.vpn && w.entry.pcid == entry.pcid)
@@ -158,7 +158,7 @@ impl Tlb {
     /// Invalidates the entry for `(vpn, pcid)` if present (`invlpg`).
     pub fn invlpg(&mut self, vpn: u64, pcid: u16) -> bool {
         let idx = self.set_of(vpn);
-        let set = &mut Arc::make_mut(&mut self.sets)[idx];
+        let set = &mut Rc::make_mut(&mut self.sets)[idx];
         match set
             .iter()
             .position(|w| w.entry.vpn == vpn && w.entry.pcid == pcid)
@@ -174,14 +174,14 @@ impl Tlb {
     /// Drops every entry belonging to `pcid` (context switch without PCID
     /// preservation).
     pub fn flush_pcid(&mut self, pcid: u16) {
-        for set in Arc::make_mut(&mut self.sets) {
+        for set in Rc::make_mut(&mut self.sets) {
             set.retain(|w| w.entry.pcid != pcid);
         }
     }
 
     /// Empties the TLB.
     pub fn flush_all(&mut self) {
-        for set in Arc::make_mut(&mut self.sets) {
+        for set in Rc::make_mut(&mut self.sets) {
             set.clear();
         }
     }

@@ -2,13 +2,20 @@
 //! and the page-granular physical-memory access path against a byte map.
 
 use microscope_cache::{HierarchyConfig, MemoryHierarchy};
-use microscope_mem::{AddressSpace, PAddr, PageWalker, PhysMem, PteFlags, VAddr, PAGE_BYTES};
+use microscope_mem::{
+    AddressSpace, PAddr, PageWalker, PhysMem, PtLevel, PteFlags, VAddr, PAGE_BYTES,
+};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 
 fn arb_vaddr() -> impl Strategy<Value = VAddr> {
     // 48-bit canonical user addresses, page-aligned plus an offset.
     (0u64..(1 << 36), 0u64..PAGE_BYTES).prop_map(|(vpn, off)| VAddr(vpn * PAGE_BYTES + off))
+}
+
+fn arb_clustered_vaddr() -> impl Strategy<Value = VAddr> {
+    (0u64..2, 0u64..2, 0u64..2, 0u64..4, 0u64..PAGE_BYTES)
+        .prop_map(|(g, u, m, t, off)| VAddr::from_indices(g, u, m, t, off))
 }
 
 proptest! {
@@ -66,6 +73,34 @@ proptest! {
         for i in 0..pages {
             let t = asp.translate(&phys, va.offset(i * PAGE_BYTES), false).unwrap();
             prop_assert!(frames.insert(t.paddr.ppn()));
+        }
+    }
+
+    /// The single-pass `entry_paddrs` equals `entry_paddr` taken at each
+    /// level, for mapped addresses, unmapped ones (missing at any level)
+    /// and ones below an upper-level entry whose Present bit is clear.
+    /// Table indices come from a small range so the tables are shared.
+    #[test]
+    fn entry_paddrs_matches_per_level_walks(
+        mapped in prop::collection::vec(arb_clustered_vaddr(), 1..12),
+        probes in prop::collection::vec(arb_clustered_vaddr(), 1..24),
+        hide in 0usize..12,
+        level in 0usize..3,
+    ) {
+        let mut phys = PhysMem::new();
+        let asp = AddressSpace::new(&mut phys, 5);
+        for va in &mapped {
+            let frame = phys.alloc_frame();
+            asp.map(&mut phys, *va, frame, PteFlags::user_data());
+        }
+        let hidden = mapped[hide % mapped.len()];
+        let upper = PtLevel::ALL[level];
+        let pte = asp.read_entry(&phys, hidden, upper).expect("mapped");
+        asp.write_entry(&mut phys, hidden, upper, pte.with_present(false));
+        prop_assert_eq!(asp.entry_paddrs(&phys, hidden)[level + 1], None);
+        for va in mapped.iter().chain(&probes) {
+            let want = PtLevel::ALL.map(|l| asp.entry_paddr(&phys, *va, l));
+            prop_assert_eq!(asp.entry_paddrs(&phys, *va), want, "{:?}", va);
         }
     }
 

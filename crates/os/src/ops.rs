@@ -3,7 +3,7 @@
 
 use microscope_cache::PAddr;
 use microscope_cpu::HwParts;
-use microscope_mem::{AddressSpace, PtLevel, VAddr, PAGE_BYTES};
+use microscope_mem::{AddressSpace, PhysMem, PtLevel, VAddr, PAGE_BYTES};
 
 /// Translates `vaddr` through `aspace` *ignoring the Present bit* of the
 /// leaf PTE. The OS can always do this (it owns the tables), and needs it to
@@ -13,18 +13,49 @@ pub fn translate_ignoring_present(
     aspace: AddressSpace,
     vaddr: VAddr,
 ) -> Option<PAddr> {
-    let pte = aspace.read_entry(&hw.phys, vaddr, PtLevel::Pte)?;
-    if pte.ppn() == 0 {
-        return None;
-    }
-    Some(PAddr(pte.ppn() * PAGE_BYTES + vaddr.page_offset()))
+    leaf_frame(&hw.phys, aspace, vaddr).map(|ppn| PAddr(ppn * PAGE_BYTES + vaddr.page_offset()))
+}
+
+/// The frame the leaf PTE for `vaddr` names, Present bit or not.
+fn leaf_frame(phys: &PhysMem, aspace: AddressSpace, vaddr: VAddr) -> Option<u64> {
+    let ppn = aspace.read_entry(phys, vaddr, PtLevel::Pte)?.ppn();
+    (ppn != 0).then_some(ppn)
+}
+
+/// [`translate_ignoring_present`] over `addrs`, in order, dropping the
+/// unmapped ones. The tables are walked once per run of consecutive
+/// addresses on the same page, not once per address.
+fn translate_by_page<'a>(
+    phys: &'a PhysMem,
+    aspace: AddressSpace,
+    addrs: &'a [VAddr],
+) -> impl Iterator<Item = (VAddr, PAddr)> + 'a {
+    let mut last: Option<(u64, Option<u64>)> = None;
+    addrs.iter().filter_map(move |&va| {
+        let frame = match last {
+            Some((vpn, frame)) if vpn == va.vpn() => frame,
+            _ => last.insert((va.vpn(), leaf_frame(phys, aspace, va))).1,
+        };
+        Some((va, PAddr(frame? * PAGE_BYTES + va.page_offset())))
+    })
 }
 
 /// Flushes all translation state for `vaddr`: the four page-table entry
 /// lines from the cache hierarchy, the page-walk cache, and the TLB entry
 /// (paper §4.1.1, Replayer setup steps 2–4).
 pub fn flush_translation(hw: &mut HwParts, aspace: AddressSpace, vaddr: VAddr) {
-    for entry_pa in aspace.entry_paddrs(&hw.phys, vaddr).into_iter().flatten() {
+    let entries = aspace.entry_paddrs(&hw.phys, vaddr);
+    flush_entries(hw, aspace, vaddr, &entries);
+}
+
+/// [`flush_translation`] given the entries `vaddr` translates through.
+fn flush_entries(
+    hw: &mut HwParts,
+    aspace: AddressSpace,
+    vaddr: VAddr,
+    entries: &[Option<PAddr>; 4],
+) {
+    for &entry_pa in entries.iter().flatten() {
         hw.hier.flush_line(entry_pa);
         hw.walker.pwc_mut().flush_entry(entry_pa);
     }
@@ -43,7 +74,7 @@ pub fn set_walk_length(hw: &mut HwParts, aspace: AddressSpace, vaddr: VAddr, len
     assert!((1..=4).contains(&length), "walk length must be in 1..=4");
     let entries = aspace.entry_paddrs(&hw.phys, vaddr);
     // Cold everything first.
-    flush_translation(hw, aspace, vaddr);
+    flush_entries(hw, aspace, vaddr, &entries);
     // Warm the top `4 - length` levels back into the PWC (only the three
     // upper levels are PWC-cacheable, so `length == 1` still pays one DRAM
     // access for the leaf PTE — matching real walkers).
@@ -56,10 +87,8 @@ pub fn set_walk_length(hw: &mut HwParts, aspace: AddressSpace, vaddr: VAddr, len
 /// Evicts each address's line from the whole hierarchy ("priming the
 /// caches" before a replay so the next probe is unambiguous).
 pub fn prime_lines(hw: &mut HwParts, aspace: AddressSpace, addrs: &[VAddr]) {
-    for va in addrs {
-        if let Some(pa) = translate_ignoring_present(hw, aspace, *va) {
-            hw.hier.flush_line(pa);
-        }
+    for (_, pa) in translate_by_page(&hw.phys, aspace, addrs) {
+        hw.hier.flush_line(pa);
     }
 }
 
@@ -71,11 +100,8 @@ pub fn probe_latencies(
     aspace: AddressSpace,
     addrs: &[VAddr],
 ) -> Vec<(VAddr, u64)> {
-    addrs
-        .iter()
-        .filter_map(|va| {
-            translate_ignoring_present(hw, aspace, *va).map(|pa| (*va, hw.hier.access(pa).latency))
-        })
+    translate_by_page(&hw.phys, aspace, addrs)
+        .map(|(va, pa)| (va, hw.hier.access(pa).latency))
         .collect()
 }
 
@@ -175,6 +201,50 @@ mod tests {
     fn zero_walk_length_rejected() {
         let (mut hw, aspace, va) = hw_with_mapping();
         set_walk_length(&mut hw, aspace, va, 0);
+    }
+
+    #[test]
+    fn page_grouped_prime_and_probe_match_line_by_line() {
+        let (mut hw, aspace, a) = hw_with_mapping();
+        let b = VAddr(a.0 + 3 * PAGE_BYTES);
+        let frame = hw.phys.alloc_frame();
+        aspace.map(&mut hw.phys, b, frame, PteFlags::user_data());
+        aspace.set_present(&mut hw.phys, b, false);
+        let unmapped = VAddr(a.0 + PAGE_BYTES);
+        // Runs on A, then B, then A again, with an unmapped line between.
+        let addrs = [
+            (a, 0),
+            (a, 64),
+            (b, 0),
+            (b, 128),
+            (a, 192),
+            (unmapped, 0),
+            (b, 256),
+            (a, 4032),
+        ]
+        .map(|(page, off)| page.offset(off));
+        let lines = |hw: &HwParts| -> Vec<Option<PAddr>> {
+            (addrs.iter())
+                .map(|va| translate_ignoring_present(hw, aspace, *va))
+                .collect()
+        };
+        assert_eq!(lines(&hw).iter().filter(|pa| pa.is_none()).count(), 1);
+        for pa in lines(&hw).into_iter().flatten() {
+            hw.hier.access(pa);
+        }
+        let mut reference = hw.clone();
+        prime_lines(&mut hw, aspace, &addrs);
+        for pa in lines(&reference).into_iter().flatten() {
+            reference.hier.flush_line(pa);
+        }
+        assert_eq!(format!("{:?}", hw.hier), format!("{:?}", reference.hier));
+        hw.hier.access(lines(&hw)[3].expect("mapped"));
+        reference.hier.access(lines(&reference)[3].expect("mapped"));
+        let want: Vec<(VAddr, u64)> = (addrs.iter().zip(lines(&reference)))
+            .filter_map(|(va, pa)| Some((*va, reference.hier.access(pa?).latency)))
+            .collect();
+        assert_eq!(probe_latencies(&mut hw, aspace, &addrs), want);
+        assert_eq!(format!("{:?}", hw.hier), format!("{:?}", reference.hier));
     }
 
     #[test]

@@ -45,6 +45,27 @@ for pin in fig10_replay:cde0bd64d931c34e aes_step:e57da434183d5c8c \
     echo "$workload report_digest $got"
 done
 
+echo "== repo benchmark: pinned work counters (seed 1, traced) =="
+# Deterministic work per op: real steps, dispatched instructions and OS
+# replays. A host-speed change must leave them exactly as they are; a
+# change that moves one on purpose (fewer steps, a new model) re-pins it
+# in the same commit and says why. Fields: steps:dispatched:replays.
+for pin in fig10_replay:10993:10776:800 aes_step:9819.8:28907:111; do
+    workload=${pin%%:*}
+    want=${pin#*:}
+    got=$(cargo run -q --release --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 0 --trace 1 |
+        awk '$1 == "cpu.steps_per_op" { s = $2 + 0 }
+             $1 == "cpu.dispatched_per_op" { d = $2 + 0 }
+             $1 == "os.replays_per_op" { r = $2 + 0 }
+             END { print s ":" d ":" r }')
+    if [ "$got" != "$want" ]; then
+        echo "error: $workload steps:dispatched:replays per op $got, pinned $want" >&2
+        exit 1
+    fi
+    echo "$workload steps:dispatched:replays per op $got"
+done
+
 echo "== sweep smoke: ablate_walk --jobs 2 =="
 # A 5-point sweep fanned over 2 workers; exercises the parallel engine and
 # the shape checks end-to-end in well under a second.
