@@ -16,7 +16,8 @@
 //! | `sec8_analyze` | static attack-plan analysis, validated in-simulator |
 //! | `perf_bench` | simulator perf trajectory — emits `BENCH_replay.json` |
 
-pub mod json;
+/// The workspace's one JSON module, re-exported for the perf harnesses.
+pub use microscope_probe::json;
 
 /// Renders a latency series as a compact ASCII scatter summary: count per
 /// bucket, plus min/median/p99/max.

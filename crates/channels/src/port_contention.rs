@@ -127,8 +127,8 @@ impl Default for PortContentionConfig {
 /// control-flow victim (2 muls vs 2 divs) under replay, with the SMT
 /// monitor installed — without running it. The perf-bench harness uses
 /// this to alternate cold runs with checkpointed
-/// [`rerun_until_monitor_done`](AttackSession::rerun_until_monitor_done)
-/// iterations of the *same* session.
+/// [`RunRequest::from_checkpoint`](microscope_core::RunRequest::from_checkpoint)
+/// monitor-done iterations of the *same* session.
 pub fn build_session(secret: bool, cfg: &PortContentionConfig) -> AttackSession {
     let mut b = SessionBuilder::new();
     if let Some(p) = cfg.probe {

@@ -284,15 +284,15 @@ pub struct AttackSession {
     probe: Probe,
     /// Snapshot taken the moment the replay handle went live — at the top
     /// of the first run for build-time arming (so any host-side setup
-    /// between `build()` and `run()`, like step interrupts or seeded
+    /// between `build()` and `execute()`, like step interrupts or seeded
     /// memory, is included), or mid-run at the arming interrupt for
-    /// deferred arming. `rerun*` rewinds here instead of re-simulating the
-    /// victim from reset.
+    /// deferred arming. A `.from_checkpoint()` request rewinds here instead
+    /// of re-simulating the victim from reset.
     armed_checkpoint: Option<MachineCheckpoint>,
     /// Whether the checkpoint was captured mid-run, i.e. *after* this run's
-    /// `SessionStart` event was emitted. A rerun re-emits `SessionStart`
+    /// `SessionStart` event was emitted. A replay re-emits `SessionStart`
     /// only when it was not yet in the captured event stream, keeping cold
-    /// and rerun traces byte-identical.
+    /// and replayed traces byte-identical.
     checkpoint_mid_run: bool,
 }
 
@@ -321,14 +321,12 @@ impl AttackSession {
     }
 
     /// The armed-state checkpoint, once captured (see
-    /// [`AttackSession::rerun`]).
+    /// [`RunRequest::from_checkpoint`]).
     pub fn armed_checkpoint(&self) -> Option<&MachineCheckpoint> {
         self.armed_checkpoint.as_ref()
     }
 
-    /// Executes one [`RunRequest`] and produces the report — the single
-    /// entry point subsuming the former `run` / `run_until_monitor_done` /
-    /// `rerun` / `rerun_until_monitor_done` / `run_cross_checked` family.
+    /// Executes one [`RunRequest`] and produces the report.
     ///
     /// A cold request's first execution captures the armed-state
     /// checkpoint — up front when the module armed at build time, or
@@ -348,237 +346,92 @@ impl AttackSession {
     /// * [`RunError::CrossCheckDiverged`] — a `.cross_checked()` request
     ///   found the cycle-by-cycle and fast-forwarded executions different.
     pub fn execute(&mut self, req: RunRequest) -> Result<AttackReport, RunError> {
+        let max_cycles = req.max_cycles();
         if req.is_cross_checked() {
-            return self.cross_checked_impl(req.max_cycles());
+            // Re-execute the post-arm window twice — once with the
+            // reference cycle-by-cycle loop, once with idle-cycle
+            // fast-forward — and return the fast report once it agrees.
+            let orig_ff = self.machine.config().fast_forward;
+            self.machine.set_fast_forward(false);
+            let reference = self.run_window(true, self.monitor_ctx, max_cycles);
+            self.machine.set_fast_forward(true);
+            let fast = self.run_window(true, self.monitor_ctx, max_cycles);
+            self.machine.set_fast_forward(orig_ff);
+            let fast = fast?;
+            compare_reports(&reference?, &fast)?;
+            return Ok(fast);
         }
-        match (req.is_from_checkpoint(), req.is_until_monitor_done()) {
-            (false, false) => Ok(self.cold_run(req.max_cycles())),
-            (false, true) => self.cold_until_monitor(req.max_cycles()),
-            (true, false) => self.replay_run(req.max_cycles()),
-            (true, true) => self.replay_until_monitor(req.max_cycles()),
+        let monitor = if req.is_until_monitor_done() {
+            Some(self.monitor_ctx.ok_or(RunError::NoMonitor {
+                operation: if req.is_from_checkpoint() {
+                    "replay until monitor done"
+                } else {
+                    "run until monitor done"
+                },
+            })?)
+        } else {
+            None
+        };
+        self.run_window(req.is_from_checkpoint(), monitor, max_cycles)
+    }
+
+    /// The one run path. Rewinds to the armed checkpoint first when
+    /// `from_checkpoint`; otherwise starts from the current state and
+    /// captures the checkpoint once the module is armed — up front for
+    /// build-time arming, or by pausing at the deferred-arm interrupt and
+    /// continuing with the remaining budget (the step sequence is that of
+    /// an uninterrupted run). Stops when `monitor` halts (reported as
+    /// [`RunExit::AllHalted`] even while the victim is still captive under
+    /// replay) or, without one, when every context halts. `max_cycles`
+    /// counts from session start either way, so a replay observes the same
+    /// budget as the cold run it reproduces.
+    fn run_window(
+        &mut self,
+        from_checkpoint: bool,
+        monitor: Option<ContextId>,
+        max_cycles: u64,
+    ) -> Result<AttackReport, RunError> {
+        let budget = if from_checkpoint {
+            let cp = self
+                .armed_checkpoint
+                .as_ref()
+                .ok_or(RunError::NoCheckpoint {
+                    operation: "replay from checkpoint",
+                })?;
+            if !self.machine.restore(cp) {
+                return Err(RunError::CheckpointMismatch {
+                    capture_cycle: cp.cycle(),
+                });
+            }
+            max_cycles.saturating_sub(cp.cycle())
+        } else {
+            self.capture_if_armed(false);
+            max_cycles
+        };
+        // A checkpoint captured mid-run already holds this event.
+        if !(from_checkpoint && self.checkpoint_mid_run) {
+            self.probe.emit(
+                None,
+                EventKind::SessionStart {
+                    contexts: self.machine.context_count() as u32,
+                },
+            );
         }
-    }
-
-    /// Runs for at most `max_cycles` and produces the report.
-    #[deprecated(since = "0.5.0", note = "use `execute(RunRequest::cold(max_cycles))`")]
-    pub fn run(&mut self, max_cycles: u64) -> AttackReport {
-        self.cold_run(max_cycles)
-    }
-
-    /// Runs until the monitor halts, then reports.
-    #[deprecated(
-        since = "0.5.0",
-        note = "use `execute(RunRequest::cold(max_cycles).until_monitor_done())`"
-    )]
-    pub fn run_until_monitor_done(&mut self, max_cycles: u64) -> Result<AttackReport, RunError> {
-        self.cold_until_monitor(max_cycles)
-    }
-
-    /// Rewinds to the armed checkpoint and re-runs.
-    #[deprecated(
-        since = "0.5.0",
-        note = "use `execute(RunRequest::cold(max_cycles).from_checkpoint())`"
-    )]
-    pub fn rerun(&mut self, max_cycles: u64) -> Result<AttackReport, RunError> {
-        self.replay_run(max_cycles)
-    }
-
-    /// Rewinds to the armed checkpoint and re-runs until the monitor halts.
-    #[deprecated(
-        since = "0.5.0",
-        note = "use `execute(RunRequest::cold(max_cycles).from_checkpoint().until_monitor_done())`"
-    )]
-    pub fn rerun_until_monitor_done(&mut self, max_cycles: u64) -> Result<AttackReport, RunError> {
-        self.replay_until_monitor(max_cycles)
-    }
-
-    /// Re-executes the post-arm window with and without fast-forward and
-    /// verifies the reports agree.
-    #[deprecated(
-        since = "0.5.0",
-        note = "use `execute(RunRequest::cold(max_cycles).cross_checked())`"
-    )]
-    pub fn run_cross_checked(&mut self, max_cycles: u64) -> Result<AttackReport, RunError> {
-        self.cross_checked_impl(max_cycles)
-    }
-
-    /// Cold execution from the current machine state; captures the armed
-    /// checkpoint (up front or mid-run at the arming interrupt).
-    fn cold_run(&mut self, max_cycles: u64) -> AttackReport {
-        self.capture_if_armed();
-        self.emit_session_start();
-        let exit = self.run_capturing(max_cycles);
-        self.emit_run_end(exit);
-        self.report(exit)
-    }
-
-    /// Cold execution that stops when the monitor halts (useful when the
-    /// victim spins forever under replay). The monitor finishing counts as
-    /// completion even when the victim is still captive.
-    fn cold_until_monitor(&mut self, max_cycles: u64) -> Result<AttackReport, RunError> {
-        let ctx = self.monitor_ctx.ok_or(RunError::NoMonitor {
-            operation: "run until monitor done",
-        })?;
-        self.capture_if_armed();
-        self.emit_session_start();
-        let done = self.run_until_capturing(max_cycles, ctx);
-        let exit = if done {
+        let end = self.machine.cycle().saturating_add(budget);
+        let done =
+            move |m: &Machine| monitor.map_or_else(|| m.all_halted(), |c| m.context(c).halted());
+        if self.armed_checkpoint.is_none() {
+            let shared = self.shared.clone();
+            self.machine
+                .run_until(budget, |m| shared.borrow().armed || done(m));
+            self.capture_if_armed(true);
+        }
+        let rest = end.saturating_sub(self.machine.cycle());
+        let exit = if self.machine.run_until(rest, done) {
             RunExit::AllHalted
         } else {
             RunExit::MaxCycles
         };
-        self.emit_run_end(exit);
-        Ok(self.report(exit))
-    }
-
-    /// Rewinds to the armed checkpoint and re-runs. `max_cycles` counts
-    /// from session start exactly as in a cold run, so a replay observes
-    /// the same cycle budget but re-simulates only the post-arm window.
-    fn replay_run(&mut self, max_cycles: u64) -> Result<AttackReport, RunError> {
-        let budget = self.rewind(max_cycles)?;
-        if !self.checkpoint_mid_run {
-            self.emit_session_start();
-        }
-        let exit = self.machine.run(budget);
-        self.emit_run_end(exit);
-        Ok(self.report(exit))
-    }
-
-    /// The replay analogue of [`AttackSession::cold_until_monitor`].
-    fn replay_until_monitor(&mut self, max_cycles: u64) -> Result<AttackReport, RunError> {
-        let ctx = self.monitor_ctx.ok_or(RunError::NoMonitor {
-            operation: "replay until monitor done",
-        })?;
-        let budget = self.rewind(max_cycles)?;
-        if !self.checkpoint_mid_run {
-            self.emit_session_start();
-        }
-        let done = self.machine.run_until(budget, |m| m.context(ctx).halted());
-        let exit = if done {
-            RunExit::AllHalted
-        } else {
-            RunExit::MaxCycles
-        };
-        self.emit_run_end(exit);
-        Ok(self.report(exit))
-    }
-
-    /// Debug cross-check mode: re-executes the post-arm window twice —
-    /// once with the reference cycle-by-cycle loop, once with idle-cycle
-    /// fast-forward — and verifies the two [`AttackReport`]s agree
-    /// ([`compare_reports`]). Stops at monitor completion when the session
-    /// has a monitor, at the cycle budget otherwise. Returns the verified
-    /// report.
-    fn cross_checked_impl(&mut self, max_cycles: u64) -> Result<AttackReport, RunError> {
-        let orig_ff = self.machine.config().fast_forward;
-        self.machine.set_fast_forward(false);
-        let reference = self.replay_auto(max_cycles);
-        self.machine.set_fast_forward(true);
-        let fast = self.replay_auto(max_cycles);
-        self.machine.set_fast_forward(orig_ff);
-        let fast = fast?;
-        compare_reports(&reference?, &fast)?;
-        Ok(fast)
-    }
-
-    fn replay_auto(&mut self, max_cycles: u64) -> Result<AttackReport, RunError> {
-        if self.monitor_ctx.is_some() {
-            self.replay_until_monitor(max_cycles)
-        } else {
-            self.replay_run(max_cycles)
-        }
-    }
-
-    /// Captures the armed checkpoint if the module is already armed and no
-    /// snapshot exists yet (build-time arming).
-    fn capture_if_armed(&mut self) {
-        if self.armed_checkpoint.is_none() && self.shared.borrow().armed {
-            self.armed_checkpoint = Some(self.machine.checkpoint());
-            self.checkpoint_mid_run = false;
-        }
-    }
-
-    /// Restores the armed checkpoint and returns the remaining cycle
-    /// budget (runs started at cycle 0, so `max_cycles` minus the capture
-    /// cycle).
-    fn rewind(&mut self, max_cycles: u64) -> Result<u64, RunError> {
-        let cp = self
-            .armed_checkpoint
-            .as_ref()
-            .ok_or(RunError::NoCheckpoint {
-                operation: "replay from checkpoint",
-            })?;
-        if !self.machine.restore(cp) {
-            return Err(RunError::CheckpointMismatch {
-                capture_cycle: cp.cycle(),
-            });
-        }
-        Ok(max_cycles.saturating_sub(cp.cycle()))
-    }
-
-    /// Advances the machine by `max_cycles`; with a pending deferred arm,
-    /// pauses at the arming interrupt to capture the checkpoint, then
-    /// continues with the remaining budget (the step sequence is identical
-    /// to an uninterrupted run).
-    fn run_capturing(&mut self, max_cycles: u64) -> RunExit {
-        if self.armed_checkpoint.is_some() || self.shared.borrow().armed {
-            return self.machine.run(max_cycles);
-        }
-        let end = self.machine.cycle().saturating_add(max_cycles);
-        let shared = self.shared.clone();
-        let armed = self
-            .machine
-            .run_until(max_cycles, move |_| shared.borrow().armed);
-        if !armed {
-            return if self.machine.all_halted() {
-                RunExit::AllHalted
-            } else {
-                RunExit::MaxCycles
-            };
-        }
-        self.armed_checkpoint = Some(self.machine.checkpoint());
-        self.checkpoint_mid_run = true;
-        let rest = end.saturating_sub(self.machine.cycle());
-        self.machine.run(rest)
-    }
-
-    /// [`AttackSession::run_capturing`], with the monitor-halted stop
-    /// condition layered on top. Returns whether the monitor finished.
-    fn run_until_capturing(&mut self, max_cycles: u64, ctx: ContextId) -> bool {
-        if self.armed_checkpoint.is_some() || self.shared.borrow().armed {
-            return self
-                .machine
-                .run_until(max_cycles, |m| m.context(ctx).halted());
-        }
-        let end = self.machine.cycle().saturating_add(max_cycles);
-        let shared = self.shared.clone();
-        let fired = self.machine.run_until(max_cycles, move |m| {
-            shared.borrow().armed || m.context(ctx).halted()
-        });
-        if self.shared.borrow().armed {
-            self.armed_checkpoint = Some(self.machine.checkpoint());
-            self.checkpoint_mid_run = true;
-        }
-        if self.machine.context(ctx).halted() {
-            return true;
-        }
-        if !fired {
-            return false;
-        }
-        let rest = end.saturating_sub(self.machine.cycle());
-        self.machine.run_until(rest, |m| m.context(ctx).halted())
-    }
-
-    fn emit_session_start(&self) {
-        self.probe.emit(
-            None,
-            EventKind::SessionStart {
-                contexts: self.machine.context_count() as u32,
-            },
-        );
-    }
-
-    fn emit_run_end(&self, exit: RunExit) {
         self.probe.set_cycle(self.machine.cycle());
         self.probe.emit(
             None,
@@ -587,6 +440,16 @@ impl AttackSession {
                 all_halted: exit == RunExit::AllHalted,
             },
         );
+        Ok(self.report(exit))
+    }
+
+    /// Captures the armed checkpoint if the module is armed and no
+    /// snapshot exists yet.
+    fn capture_if_armed(&mut self, mid_run: bool) {
+        if self.armed_checkpoint.is_none() && self.shared.borrow().armed {
+            self.armed_checkpoint = Some(self.machine.checkpoint());
+            self.checkpoint_mid_run = mid_run;
+        }
     }
 
     /// Assembles a report from the current machine state.

@@ -26,7 +26,7 @@ use crate::report::AttackReport;
 use microscope_probe::MetricSet;
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -343,152 +343,6 @@ fn run_point_isolated<P, R>(
             label: pt.label.clone(),
         })
     })
-}
-
-/// Reuses one armed [`AttackSession`](crate::AttackSession) per
-/// `(cache, key)` pair on each
-/// worker thread, so sweep points that share a session-building prefix
-/// (same [`SimConfig`], same victim, same recipe skeleton) pay the cold
-/// build + arm cost once and replay every subsequent point from the
-/// copy-on-write checkpoint.
-///
-/// Sessions are not `Send`, so the store is thread-local: each sweep
-/// worker keeps its own armed sessions, keyed by the cache's unique
-/// instance id plus a caller-chosen `u64` key (hash the shared prefix).
-/// Only the hit/miss counters are shared — they are plain atomics, safe
-/// to read from the aggregating thread after [`SweepSpec::run`] returns.
-///
-/// The counters surface as `checkpoint.cache_hits` /
-/// `checkpoint.cache_misses` via [`CheckpointCache::metrics`]. They are
-/// deliberately **not** folded into point reports or
-/// [`SweepOutcome::digest`]: hit patterns depend on the worker count and
-/// scheduling order, and the digest must stay jobs-invariant (pinned by
-/// `tests/checkpoint_replay.rs`).
-///
-/// ```
-/// use microscope_core::sweep::CheckpointCache;
-/// use microscope_core::RunRequest;
-/// # use microscope_core::SessionBuilder;
-/// # use microscope_cpu::{Assembler, Reg};
-/// # use microscope_mem::{PteFlags, VAddr};
-/// # fn build_session() -> microscope_core::AttackSession {
-/// #     let mut b = SessionBuilder::new();
-/// #     let aspace = b.new_aspace(1);
-/// #     let handle = VAddr(0x1000_0000);
-/// #     aspace.alloc_map(b.phys(), handle, 4096, PteFlags::user_data());
-/// #     let mut asm = Assembler::new();
-/// #     asm.imm(Reg(1), handle.0).load(Reg(2), Reg(1), 0).halt();
-/// #     b.victim(asm.finish(), aspace);
-/// #     b.build().unwrap()
-/// # }
-/// let cache = CheckpointCache::new();
-/// let a = cache.execute(7, build_session, RunRequest::cold(10_000_000)).unwrap();
-/// let b = cache.execute(7, build_session, RunRequest::cold(10_000_000)).unwrap();
-/// assert_eq!(format!("{a:?}"), format!("{b:?}"));
-/// assert_eq!((cache.misses(), cache.hits()), (1, 1));
-/// ```
-#[derive(Debug, Default)]
-pub struct CheckpointCache {
-    id: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-thread_local! {
-    /// Per-thread armed-session store. Entries die with their worker
-    /// thread (sweep workers are scoped, so a finished sweep leaves
-    /// nothing behind); keys embed the owning cache's instance id, so two
-    /// caches never alias.
-    static SESSION_STORE: std::cell::RefCell<
-        std::collections::HashMap<(usize, u64), crate::AttackSession>,
-    > = std::cell::RefCell::new(std::collections::HashMap::new());
-}
-
-/// Monotonic instance-id source for [`CheckpointCache`] (ids are embedded
-/// in the thread-local store's keys).
-static NEXT_CACHE_ID: AtomicUsize = AtomicUsize::new(1);
-
-impl CheckpointCache {
-    /// Creates an empty cache with a process-unique instance id.
-    pub fn new() -> Self {
-        CheckpointCache {
-            id: NEXT_CACHE_ID.fetch_add(1, Ordering::Relaxed),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// Runs `req` against this thread's cached session for `key`,
-    /// building one with `build` on the first use.
-    ///
-    /// On a miss the request executes as given (normally cold, which arms
-    /// the replay checkpoint as a side effect); on a hit it is upgraded
-    /// with [`RunRequest::from_checkpoint`](crate::RunRequest::from_checkpoint)
-    /// so the armed snapshot is
-    /// replayed instead of re-running the warm-up prefix. Byte-identity
-    /// of warm and cold reports is the checkpoint engine's contract, so
-    /// caching never changes a sweep's digest.
-    pub fn execute(
-        &self,
-        key: u64,
-        build: impl FnOnce() -> crate::AttackSession,
-        req: crate::RunRequest,
-    ) -> Result<AttackReport, RunError> {
-        self.with_session(key, build, |session, hit| {
-            let req = if hit { req.from_checkpoint() } else { req };
-            session.execute(req)
-        })
-    }
-
-    /// Lower-level access: passes the cached (or freshly built) session
-    /// to `f` along with whether it came from the cache.
-    pub fn with_session<T>(
-        &self,
-        key: u64,
-        build: impl FnOnce() -> crate::AttackSession,
-        f: impl FnOnce(&mut crate::AttackSession, bool) -> T,
-    ) -> T {
-        SESSION_STORE.with(|store| {
-            let mut store = store.borrow_mut();
-            let (session, hit) = match store.entry((self.id, key)) {
-                std::collections::hash_map::Entry::Occupied(e) => (e.into_mut(), true),
-                std::collections::hash_map::Entry::Vacant(e) => (e.insert(build()), false),
-            };
-            if hit {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-            } else {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-            }
-            f(session, hit)
-        })
-    }
-
-    /// Drops this cache's sessions held by the **current** thread (other
-    /// workers' stores are unreachable by design).
-    pub fn clear_local(&self) {
-        SESSION_STORE.with(|store| store.borrow_mut().retain(|(id, _), _| *id != self.id));
-    }
-
-    /// Total cache hits across all worker threads.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Total cache misses (cold builds) across all worker threads.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// The cache's observability surface: `checkpoint.cache_hits` and
-    /// `checkpoint.cache_misses` counts. Export or merge these at the
-    /// harness level — never into per-point reports, where they would
-    /// break digest jobs-invariance.
-    pub fn metrics(&self) -> MetricSet {
-        let mut m = MetricSet::new();
-        m.set_count("checkpoint.cache_hits", self.hits());
-        m.set_count("checkpoint.cache_misses", self.misses());
-        m
-    }
 }
 
 /// One grid point plus what running it produced.

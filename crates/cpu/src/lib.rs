@@ -55,7 +55,6 @@ mod program;
 mod rob;
 mod stats;
 mod supervisor;
-mod trace;
 
 pub use config::{CoreConfig, DivLatency};
 pub use context::{Context, ContextId};
@@ -70,4 +69,3 @@ pub use supervisor::{
     FaultEvent, HonestSupervisor, HwParts, InterruptEvent, NullSupervisor, Supervisor,
     SupervisorAction,
 };
-pub use trace::{TraceEvent, TraceKind, Tracer};

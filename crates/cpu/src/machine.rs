@@ -11,13 +11,12 @@ use crate::stats::MachineStats;
 use crate::supervisor::{
     FaultEvent, HwParts, InterruptEvent, NullSupervisor, Supervisor, SupervisorAction,
 };
-use crate::trace::{TraceKind, Tracer};
 use microscope_cache::{HierarchyConfig, MemoryHierarchy, PAddr};
 use microscope_mem::{
     AddressSpace, PageFault, PageWalker, PhysMem, TlbEntry, TlbHierarchy, TlbHierarchyConfig,
     VAddr, WalkerConfig, PAGE_BYTES,
 };
-use microscope_probe::{Probe, Recorder, RecorderConfig};
+use microscope_probe::{EventKind, Probe, Recorder, RecorderConfig};
 use std::cmp::Reverse;
 
 /// SplitMix64: a tiny, high-quality mixing function for the DRBG model.
@@ -214,7 +213,6 @@ impl MachineBuilder {
                 capacity: 200_000,
             })
         });
-        let tracer = Tracer::with_probe(probe.clone());
         let contexts: Vec<Context> = self
             .contexts
             .into_iter()
@@ -234,7 +232,7 @@ impl MachineBuilder {
         let mut tlb = TlbHierarchy::new(self.tlb);
         tlb.attach_probe(probe.clone());
         let mut walker = PageWalker::new(self.walker);
-        walker.attach_probe(probe);
+        walker.attach_probe(probe.clone());
         Machine {
             cfg: self.core,
             cycle: 0,
@@ -248,7 +246,7 @@ impl MachineBuilder {
             ports: Ports::new(),
             contexts,
             supervisor: self.supervisor.unwrap_or_else(|| Box::new(NullSupervisor)),
-            tracer,
+            probe,
             next_seq: 1,
             ckpt_stats: std::cell::Cell::new(CheckpointStats::default()),
         }
@@ -273,7 +271,7 @@ pub struct Machine {
     ports: Ports,
     contexts: Vec<Context>,
     supervisor: Box<dyn Supervisor>,
-    tracer: Tracer,
+    probe: Probe,
     next_seq: u64,
     /// Lifetime checkpoint-engine counters; never restored by
     /// [`Machine::restore`]. A `Cell` so [`Machine::checkpoint`] can count
@@ -335,14 +333,14 @@ impl Machine {
         &self.ports
     }
 
-    /// The event trace.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
     /// The cross-layer probe shared by the core, caches, TLBs and walker.
     pub fn probe(&self) -> &Probe {
-        self.tracer.probe()
+        &self.probe
+    }
+
+    /// Emits one cpu-layer event for context `ci` at cycle `now`.
+    fn emit(&self, now: u64, ci: usize, kind: EventKind) {
+        self.probe.emit_at(now, Some(ci as u32), kind);
     }
 
     /// Aggregated statistics.
@@ -422,7 +420,7 @@ impl Machine {
             ports: self.ports.clone(),
             contexts: self.contexts.clone(),
             supervisor: self.supervisor.checkpoint(),
-            recorder: self.tracer.probe().snapshot(),
+            recorder: self.probe.snapshot(),
         }
     }
 
@@ -461,7 +459,7 @@ impl Machine {
         self.hw.phys.begin_epoch();
         self.ports = cp.ports.clone();
         self.contexts = cp.contexts.clone();
-        self.tracer.probe().restore(&cp.recorder);
+        self.probe.restore(&cp.recorder);
         match &cp.supervisor {
             Some(state) => self.supervisor.restore_checkpoint(state.as_ref()),
             None => true,
@@ -583,7 +581,7 @@ impl Machine {
             self.cycle = target;
             // Cold execution stamps the probe's ambient cycle every tick;
             // keep it in sync across the jump.
-            self.tracer.probe().set_cycle(target);
+            self.probe.set_cycle(target);
         }
     }
 
@@ -593,7 +591,7 @@ impl Machine {
         let now = self.cycle;
         // Ambient cycle stamp: events emitted by the memory system (which
         // has no notion of the core clock) inherit the current cycle.
-        self.tracer.probe().set_cycle(now);
+        self.probe.set_cycle(now);
         self.ports.begin_cycle();
         self.hw.hier.bank_model().begin_cycle();
         self.retire_stage(now);
@@ -676,12 +674,12 @@ impl Machine {
         if let Some(dst) = entry.dst() {
             ctx.arch_regs[dst.index()] = entry.value;
         }
-        self.tracer.record(
+        self.emit(
             now,
-            ContextId(ci),
-            TraceKind::Retire {
+            ci,
+            EventKind::Retire {
                 seq: entry.seq,
-                pc: entry.pc,
+                pc: entry.pc as u64,
             },
         );
         match entry.inst {
@@ -774,12 +772,12 @@ impl Machine {
         ctx.pc = next_pc;
         ctx.fetch_stopped = false;
         ctx.fetch_stalled_until = now + self.cfg.squash_penalty + action.handler_cycles;
-        self.tracer.record(
+        self.emit(
             now,
-            ContextId(ci),
-            TraceKind::Squash {
+            ci,
+            EventKind::Squash {
                 cause: SquashCause::Interrupt,
-                discarded: dropped,
+                discarded: dropped as u64,
             },
         );
     }
@@ -795,12 +793,12 @@ impl Machine {
             cycle: now,
         };
         self.contexts[ci].stats.page_faults += 1;
-        self.tracer.record(
+        self.emit(
             now,
-            ContextId(ci),
-            TraceKind::Fault {
-                vaddr: fault.vaddr,
-                pc,
+            ci,
+            EventKind::FaultRaised {
+                vaddr: fault.vaddr.0,
+                pc: pc as u64,
             },
         );
         let action: SupervisorAction = self.supervisor.on_page_fault(&mut self.hw, &ev);
@@ -816,18 +814,18 @@ impl Machine {
         if self.cfg.fence_after_pipeline_flush {
             ctx.post_flush_fence = true;
         }
-        self.tracer.record(
+        self.emit(
             now,
-            ContextId(ci),
-            TraceKind::Squash {
+            ci,
+            EventKind::Squash {
                 cause: SquashCause::PageFault,
-                discarded: dropped,
+                discarded: dropped as u64,
             },
         );
-        self.tracer.record(
+        self.emit(
             now,
-            ContextId(ci),
-            TraceKind::HandlerReturn {
+            ci,
+            EventKind::HandlerReturn {
                 handler_cycles: action.handler_cycles,
             },
         );
@@ -856,12 +854,12 @@ impl Machine {
         if self.cfg.fence_after_pipeline_flush {
             ctx.post_flush_fence = true;
         }
-        self.tracer.record(
+        self.emit(
             now,
-            ContextId(ci),
-            TraceKind::Squash {
+            ci,
+            EventKind::Squash {
                 cause: SquashCause::TxnAbort,
-                discarded: dropped,
+                discarded: dropped as u64,
             },
         );
     }
@@ -909,8 +907,7 @@ impl Machine {
                 ctx.ready.insert(at, consumer);
             }
         }
-        self.tracer
-            .record(now, ContextId(ci), TraceKind::Complete { seq });
+        self.emit(now, ci, EventKind::Complete { seq });
         let Inst::Branch { target, .. } = inst else {
             return true;
         };
@@ -928,12 +925,12 @@ impl Machine {
         if self.cfg.fence_after_pipeline_flush {
             ctx.post_flush_fence = true;
         }
-        self.tracer.record(
+        self.emit(
             now,
-            ContextId(ci),
-            TraceKind::Squash {
+            ci,
+            EventKind::Squash {
                 cause: SquashCause::Mispredict,
-                discarded: dropped,
+                discarded: dropped as u64,
             },
         );
         false
@@ -1045,8 +1042,7 @@ impl Machine {
         }
         let seq = self.contexts[ci].rob[idx].seq;
         let pc = self.contexts[ci].rob[idx].pc;
-        self.tracer
-            .record(now, ContextId(ci), TraceKind::Issue { seq, pc });
+        self.emit(now, ci, EventKind::Issue { seq, pc: pc as u64 });
         let (value, latency, fault, mem, fill_at_retire, store_value) = match inst {
             Inst::Imm { value, .. } => (value, base_lat, None, None, None, None),
             Inst::Mov { .. } => (src_vals[0], base_lat, None, None, None, None),
@@ -1326,8 +1322,7 @@ impl Machine {
                 };
                 self.contexts[ci].dispatch(entry);
                 self.contexts[ci].stats.dispatched += 1;
-                self.tracer
-                    .record(now, ContextId(ci), TraceKind::Fetch { seq, pc });
+                self.emit(now, ci, EventKind::Fetch { seq, pc: pc as u64 });
                 if matches!(inst, Inst::Halt) {
                     break;
                 }

@@ -5,9 +5,10 @@
 use microscope_cache::Level;
 use microscope_cpu::{
     Assembler, Cond, ContextId, CoreConfig, FaultEvent, HwParts, MachineBuilder, Reg, RunExit,
-    Supervisor, SupervisorAction, TraceKind,
+    Supervisor, SupervisorAction,
 };
 use microscope_mem::{AddressSpace, PhysMem, PteFlags, VAddr, PAGE_BYTES};
+use microscope_probe::EventKind;
 
 const CTX0: ContextId = ContextId(0);
 
@@ -412,9 +413,9 @@ fn smt_issue_is_oldest_first_by_global_seq() {
         .context(program())
         .build();
     assert_eq!(m.run(10_000), RunExit::AllHalted);
-    let issues: Vec<(ContextId, u64)> = (m.tracer().events().into_iter())
+    let issues: Vec<(Option<u32>, u64)> = (m.probe().events().into_iter())
         .filter_map(|e| match e.kind {
-            TraceKind::Issue { seq, .. } => Some((e.ctx, seq)),
+            EventKind::Issue { seq, .. } => Some((e.ctx, seq)),
             _ => None,
         })
         .collect();

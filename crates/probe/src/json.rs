@@ -1,9 +1,19 @@
-//! Hand-rolled JSON helpers.
+//! Hand-rolled JSON: escaping for the exporters, plus one small reader.
 //!
 //! DESIGN.md §5 forbids new dependencies, so the exporters build JSON by
-//! string assembly. This module centralizes escaping plus a small
-//! recursive-descent validator used by tests (and callers who want a
-//! sanity check) to guarantee the assembled output actually parses.
+//! string assembly, and the perf harnesses read their emits back through
+//! [`parse`]. It implements just enough of RFC 8259 for both: objects,
+//! arrays, strings (with escapes), numbers, booleans and null, nested at
+//! most [`MAX_DEPTH`] deep. [`validate`] is the same parser with the value
+//! thrown away, for tests that prove assembled output loads.
+
+use std::collections::BTreeMap;
+use std::fmt;
+
+/// How deep arrays and objects may nest before [`parse`] gives up with a
+/// [`JsonError`] instead of recursing further (and overflowing the stack
+/// on hostile input).
+pub const MAX_DEPTH: usize = 128;
 
 /// Appends `s` to `out` with JSON string escaping.
 pub fn push_escaped(out: &mut String, s: &str) {
@@ -29,168 +39,278 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// Validates that `input` is one complete JSON value.
-///
-/// Minimal by design: checks structure, string escapes and number syntax;
-/// rejects trailing garbage. Good enough to prove exporter output loads.
-pub fn validate(input: &str) -> Result<(), String> {
-    let bytes = input.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(())
+/// A parsed JSON value.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Json {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// Any JSON number (parsed as `f64`, which covers the bench schema).
+    Num(f64),
+    /// A string, unescaped.
+    Str(String),
+    /// An array.
+    Arr(Vec<Json>),
+    /// An object. `BTreeMap` keeps iteration deterministic.
+    Obj(BTreeMap<String, Json>),
 }
 
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => parse_string(b, pos),
-        Some(b't') => parse_lit(b, pos, b"true"),
-        Some(b'f') => parse_lit(b, pos, b"false"),
-        Some(b'n') => parse_lit(b, pos, b"null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
-        Some(c) => Err(format!("unexpected byte {c:#04x} at {pos:?}")),
-        None => Err("unexpected end of input".into()),
-    }
-}
-
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '{'
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        parse_string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos:?}"));
+impl Json {
+    /// Member lookup on an object (`None` on non-objects/missing keys).
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(m) => m.get(key),
+            _ => None,
         }
-        *pos += 1;
-        skip_ws(b, pos);
-        parse_value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos:?}")),
+    }
+
+    /// Walks a `.`-separated path of object keys.
+    pub fn path(&self, path: &str) -> Option<&Json> {
+        path.split('.').try_fold(self, |v, k| v.get(k))
+    }
+
+    /// The numeric value, if this is a number.
+    pub fn as_num(&self) -> Option<f64> {
+        match self {
+            Json::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The string value, if this is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
         }
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '['
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        parse_value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {pos:?}")),
-        }
+/// Where and why parsing failed.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct JsonError {
+    /// Byte offset of the failure.
+    pub at: usize,
+    /// What went wrong.
+    pub msg: String,
+}
+
+impl fmt::Display for JsonError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "invalid JSON at byte {}: {}", self.at, self.msg)
     }
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {pos:?}"));
+impl std::error::Error for JsonError {}
+
+/// Parses a complete JSON document (trailing garbage is an error).
+pub fn parse(text: &str) -> Result<Json, JsonError> {
+    let mut p = Parser {
+        text,
+        bytes: text.as_bytes(),
+        pos: 0,
+        depth: 0,
+    };
+    p.skip_ws();
+    let v = p.value()?;
+    p.skip_ws();
+    if p.pos != p.bytes.len() {
+        return Err(p.err("trailing characters after the document"));
     }
-    *pos += 1;
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') | Some(b'\\') | Some(b'/') | Some(b'b') | Some(b'f')
-                    | Some(b'n') | Some(b'r') | Some(b't') => *pos += 1,
-                    Some(b'u') => {
-                        for i in 1..=4 {
-                            if !b
-                                .get(*pos + i)
-                                .map(|c| c.is_ascii_hexdigit())
-                                .unwrap_or(false)
-                            {
-                                return Err(format!("bad \\u escape at byte {pos:?}"));
-                            }
+    Ok(v)
+}
+
+/// Checks that `input` is one complete JSON value.
+pub fn validate(input: &str) -> Result<(), JsonError> {
+    parse(input).map(|_| ())
+}
+
+struct Parser<'a> {
+    text: &'a str,
+    bytes: &'a [u8],
+    pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
+}
+
+impl Parser<'_> {
+    fn err(&self, msg: &str) -> JsonError {
+        JsonError {
+            at: self.pos,
+            msg: msg.into(),
+        }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.err(&format!("expected {:?}", b as char)))
+        }
+    }
+
+    fn value(&mut self) -> Result<Json, JsonError> {
+        match self.peek() {
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            _ => Err(self.err("expected a JSON value")),
+        }
+    }
+
+    /// Runs `container` one nesting level down, refusing to go deeper
+    /// than [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
+    }
+
+    fn literal(&mut self, word: &str, v: Json) -> Result<Json, JsonError> {
+        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(v)
+        } else {
+            Err(self.err(&format!("expected {word:?}")))
+        }
+    }
+
+    fn number(&mut self) -> Result<Json, JsonError> {
+        let start = self.pos;
+        while matches!(
+            self.peek(),
+            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
+        ) {
+            self.pos += 1;
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
+        text.parse::<f64>()
+            .map(Json::Num)
+            .map_err(|_| self.err(&format!("bad number {text:?}")))
+    }
+
+    fn string(&mut self) -> Result<String, JsonError> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            match self.peek() {
+                None => return Err(self.err("unterminated string")),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    let esc = self.peek().ok_or_else(|| self.err("dangling escape"))?;
+                    self.pos += 1;
+                    match esc {
+                        b'"' => out.push('"'),
+                        b'\\' => out.push('\\'),
+                        b'/' => out.push('/'),
+                        b'n' => out.push('\n'),
+                        b't' => out.push('\t'),
+                        b'r' => out.push('\r'),
+                        b'b' => out.push('\u{8}'),
+                        b'f' => out.push('\u{c}'),
+                        b'u' => {
+                            let hex = self
+                                .bytes
+                                .get(self.pos..self.pos + 4)
+                                .and_then(|h| std::str::from_utf8(h).ok())
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .ok_or_else(|| self.err("bad \\u escape"))?;
+                            self.pos += 4;
+                            // Surrogate pairs don't occur in the bench schema;
+                            // map lone surrogates to the replacement char.
+                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
                         }
-                        *pos += 5;
+                        other => return Err(self.err(&format!("bad escape \\{}", other as char))),
                     }
-                    _ => return Err(format!("bad escape at byte {pos:?}")),
+                }
+                Some(c) if c < 0x20 => return Err(self.err("raw control byte in string")),
+                Some(_) => {
+                    // Consume one UTF-8 scalar (multi-byte sequences pass
+                    // through unmodified); `pos` stays on a char boundary.
+                    let ch = self.text[self.pos..].chars().next().expect("non-empty");
+                    out.push(ch);
+                    self.pos += ch.len_utf8();
                 }
             }
-            c if c < 0x20 => return Err(format!("raw control byte in string at {pos:?}")),
-            _ => *pos += 1,
         }
     }
-    Err("unterminated string".into())
-}
 
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let mut saw_digit = false;
-    while b.get(*pos).map(|c| c.is_ascii_digit()).unwrap_or(false) {
-        saw_digit = true;
-        *pos += 1;
-    }
-    if !saw_digit {
-        return Err(format!("bad number at byte {start}"));
-    }
-    if b.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        while b.get(*pos).map(|c| c.is_ascii_digit()).unwrap_or(false) {
-            *pos += 1;
+    fn array(&mut self) -> Result<Json, JsonError> {
+        self.expect(b'[')?;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Json::Arr(items));
+        }
+        loop {
+            self.skip_ws();
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Json::Arr(items));
+                }
+                _ => return Err(self.err("expected ',' or ']'")),
+            }
         }
     }
-    if matches!(b.get(*pos), Some(b'e') | Some(b'E')) {
-        *pos += 1;
-        if matches!(b.get(*pos), Some(b'+') | Some(b'-')) {
-            *pos += 1;
-        }
-        while b.get(*pos).map(|c| c.is_ascii_digit()).unwrap_or(false) {
-            *pos += 1;
-        }
-    }
-    Ok(())
-}
 
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &[u8]) -> Result<(), String> {
-    if b.len() >= *pos + lit.len() && &b[*pos..*pos + lit.len()] == lit {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at byte {pos:?}"))
+    fn object(&mut self) -> Result<Json, JsonError> {
+        self.expect(b'{')?;
+        let mut map = BTreeMap::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Json::Obj(map));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            self.skip_ws();
+            let value = self.value()?;
+            map.insert(key, value);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Json::Obj(map));
+                }
+                _ => return Err(self.err("expected ',' or '}'")),
+            }
+        }
     }
 }
 
@@ -199,16 +319,26 @@ mod tests {
     use super::*;
 
     #[test]
-    fn escape_round_trips_through_validate() {
-        let nasty = "a\"b\\c\nd\te\u{1}f";
-        let mut s = String::from("{\"k\":\"");
-        push_escaped(&mut s, nasty);
-        s.push_str("\"}");
-        validate(&s).expect("escaped string parses");
+    fn parses_the_bench_shapes() {
+        let v = parse(r#"{"schema":"v1","w":{"fig10":{"speedup":3.5,"iters":4}},"ok":true}"#)
+            .expect("well-formed");
+        assert_eq!(v.path("w.fig10.speedup").and_then(Json::as_num), Some(3.5));
+        assert_eq!(v.get("schema").and_then(Json::as_str), Some("v1"));
+        assert_eq!(v.get("ok"), Some(&Json::Bool(true)));
+        assert_eq!(v.path("w.missing"), None);
     }
 
     #[test]
-    fn validator_accepts_typical_documents() {
+    fn parses_arrays_numbers_and_escapes() {
+        let v = parse(r#"[1, -2.5e3, "a\"b\n", null, false]"#).expect("well-formed");
+        let Json::Arr(items) = v else { panic!("array") };
+        assert_eq!(items[1], Json::Num(-2500.0));
+        assert_eq!(items[2], Json::Str("a\"b\n".into()));
+        assert_eq!(items[3], Json::Null);
+    }
+
+    #[test]
+    fn accepts_typical_documents() {
         for ok in [
             "{}",
             "[]",
@@ -221,9 +351,52 @@ mod tests {
     }
 
     #[test]
-    fn validator_rejects_garbage() {
-        for bad in ["{", "{\"a\":}", "[1,]", "tru", "1 2", "\"\\x\""] {
-            assert!(validate(bad).is_err(), "{bad} should fail");
+    fn rejects_malformed_documents() {
+        for bad in [
+            "",
+            "{",
+            "{\"a\":}",
+            "[1,]",
+            "{\"a\":1} x",
+            "\"unterminated",
+            "tru",
+            "1 2",
+            "\"\\x\"",
+            "\"raw\ncontrol\"",
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must not parse");
         }
+        let err = parse("{oops}").expect_err("bare key");
+        assert!(err.to_string().contains("byte 1"));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = format!("{}{}", "[".repeat(200_000), "]".repeat(200_000));
+        let err = parse(&deep).expect_err("nested past the limit");
+        assert_eq!(err.at, MAX_DEPTH);
+        assert!(err.msg.contains("nesting deeper than 128"), "{err}");
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        validate(&at_limit).expect("exactly MAX_DEPTH levels parse");
+        let objects = format!(
+            "{}1{}",
+            "{\"k\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(
+            parse(&objects).is_err(),
+            "objects count toward the limit too"
+        );
+    }
+
+    #[test]
+    fn escape_round_trips_through_parse() {
+        let raw = "a\"b\\c\nd\te\u{1}f";
+        let mut doc = String::from("{\"k\":\"");
+        push_escaped(&mut doc, raw);
+        doc.push_str("\"}");
+        let v = parse(&doc).expect("escaped string parses");
+        assert_eq!(v.get("k").and_then(Json::as_str), Some(raw));
+        assert_eq!(escape(raw), doc["{\"k\":\"".len()..doc.len() - 2]);
     }
 }

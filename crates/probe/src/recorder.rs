@@ -329,6 +329,22 @@ mod tests {
     }
 
     #[test]
+    fn emit_at_overrides_the_ambient_cycle_only() {
+        let p = Probe::new(RecorderConfig::with_capacity(8));
+        p.set_cycle(3);
+        p.set_replay(2);
+        let fault = EventKind::FaultRaised {
+            vaddr: 0x1234,
+            pc: 9,
+        };
+        p.emit_at(7, Some(1), fault);
+        let evs = p.events();
+        assert_eq!(evs.len(), 1);
+        assert_eq!((evs[0].cycle, evs[0].ctx, evs[0].replay), (7, Some(1), 2));
+        assert_eq!(evs[0].kind, fault);
+    }
+
+    #[test]
     fn replay_stamp_is_ambient() {
         let p = Probe::new(RecorderConfig::with_capacity(8));
         p.emit(None, ev(0));

@@ -5,10 +5,11 @@
 //! cargo run --example quickstart
 //! ```
 
-use microscope::cpu::{ContextId, CoreConfig, TraceKind};
+use microscope::cpu::{ContextId, CoreConfig};
 use microscope::enclave::EnclaveRegion;
 use microscope::mem::VAddr;
 use microscope::prelude::*;
+use microscope::probe::EventKind;
 use microscope::victims::single_secret;
 
 fn main() {
@@ -63,20 +64,22 @@ fn main() {
         report.stats.contexts[0].squashed
     );
 
-    // The Figure-3 timeline, straight from the tracer: issue of the replay
+    // The Figure-3 timeline, straight from the probe: issue of the replay
     // handle, speculative execution of younger instructions, the fault,
     // the squash, and the replay.
     println!("\n-- timeline excerpt (Figure 3) --");
-    let events = session.machine().tracer().events();
+    let events = session.probe().events();
     let mut faults_seen = 0;
     for e in events {
         let interesting = matches!(
             e.kind,
-            TraceKind::Fault { .. } | TraceKind::Squash { .. } | TraceKind::HandlerReturn { .. }
+            EventKind::FaultRaised { .. }
+                | EventKind::Squash { .. }
+                | EventKind::HandlerReturn { .. }
         );
         if interesting {
             println!("{e}");
-            if matches!(e.kind, TraceKind::Fault { .. }) {
+            if matches!(e.kind, EventKind::FaultRaised { .. }) {
                 faults_seen += 1;
                 if faults_seen >= 3 {
                     println!("... (remaining replays elided)");

@@ -113,12 +113,7 @@ rm -f "$BENCH_TMP"
 # The committed baseline at the repo root must stay parseable too.
 cargo run -q --release -p microscope-bench --bin perf_bench -- --validate BENCH_replay.json
 
-echo "== examples use the execute(RunRequest) API =="
-# The run/rerun family is deprecated shims only; nothing user-facing may
-# still call it.
-if grep -nE '\.(run|rerun)\([0-9]|_until_monitor_done\(|run_cross_checked\(' examples/*.rs; then
-    echo "error: examples still call deprecated AttackSession run* methods" >&2
-    exit 1
-fi
+echo "== tracked figure: Rust lines in crates/ src/ examples/ tests/ =="
+find crates src examples tests -name '*.rs' -exec cat {} + | wc -l
 
 echo "CI OK"

@@ -4,7 +4,9 @@
 //!    [`MachineCheckpoint`](microscope::cpu::MachineCheckpoint) produces
 //!    an [`AttackReport`](microscope::core::AttackReport) byte-identical
 //!    (via `Debug`) to a cold re-execution of an identically built
-//!    session, across arbitrary victims, replay counts and core configs.
+//!    session, across arbitrary victims, replay counts and core configs,
+//!    whether the checkpoint was captured up front or mid-run at a
+//!    deferred-arm interrupt.
 //! 2. **Fast-forward is invisible** — idle-cycle clock jumps change
 //!    nothing observable: cycle-by-cycle and fast-forwarded execution
 //!    yield byte-identical reports (also enforced internally by
@@ -73,7 +75,17 @@ fn arb_knobs() -> impl Strategy<Value = Knobs> {
 /// Builds one session from the knobs (deterministic in the knobs, so two
 /// calls produce identically behaving sessions).
 fn build(k: &Knobs) -> AttackSession {
+    build_deferred(k, None)
+}
+
+/// [`build`], with arming deferred until the victim has retired `defer`
+/// instructions: the session then captures its checkpoint mid-run, at the
+/// arming interrupt, instead of at the top of the first run.
+fn build_deferred(k: &Knobs, defer: Option<u64>) -> AttackSession {
     let mut b = SessionBuilder::new();
+    if let Some(retires) = defer {
+        b.defer_arm(retires);
+    }
     b.sim_mut().core = CoreConfig {
         rob_size: if k.rob_small { 64 } else { 224 },
         ..CoreConfig::default()
@@ -334,64 +346,47 @@ fn monitor_session_rerun_matches_cold() {
     assert_eq!(again, cold);
 }
 
-/// The sweep-level checkpoint cache must be invisible in the outcome:
-/// a grid whose points share one session-building prefix produces a
-/// byte-identical [`digest`](microscope::core::sweep::SweepOutcome::digest)
-/// whether every point cold-builds its own session or the points after
-/// the first replay a cached armed checkpoint.
+/// Mid-run capture round-trips too: a session armed at a deferred-arm
+/// interrupt captures its checkpoint mid-run, and every request shape run
+/// on it — cold, from the checkpoint, cross-checked — reproduces a fresh
+/// cold report, with and without an SMT sibling that halts first.
 #[test]
-fn sweep_checkpoint_cache_hits_do_not_change_digest() {
-    use microscope::core::sweep::{CheckpointCache, SweepPoint, SweepSpec};
-    use microscope::core::SimConfig;
-
-    let knobs = Knobs {
-        ops: 12,
-        handle_frac: 50,
-        replays: 4,
-        rob_small: false,
-        walk_levels: 3,
-        probe_capacity: 1_000,
-        serializing: false,
-        hammer_divs: 0,
-    };
-    fn grid<'a>(spec: SweepSpec<'a, u64, AttackReport>) -> SweepSpec<'a, u64, AttackReport> {
-        (0..6).fold(spec, |s, i| {
-            s.point(format!("p{i}"), SimConfig::default(), i)
-        })
+fn mid_run_capture_replays_like_cold() {
+    for hammer_divs in [0, 6] {
+        let k = Knobs {
+            ops: 16,
+            handle_frac: 50,
+            replays: 3,
+            rob_small: false,
+            walk_levels: 3,
+            probe_capacity: 100_000,
+            serializing: true,
+            hammer_divs,
+        };
+        let req = if hammer_divs > 0 {
+            RunRequest::cold(BUDGET).until_monitor_done()
+        } else {
+            RunRequest::cold(BUDGET)
+        };
+        // Arming must happen before the sibling halts, or nothing is
+        // captured: keep `defer` below the retirements the victim reaches
+        // by then.
+        for defer in [None, Some(1), Some(3), Some(6)] {
+            let run = |s: &mut AttackSession, req: RunRequest| {
+                bytes(&s.execute(req).expect("a captured session runs"))
+            };
+            let cold = run(&mut build_deferred(&k, defer), req);
+            assert_eq!(run(&mut build_deferred(&k, defer), req), cold);
+            let mut s = build_deferred(&k, defer);
+            assert_eq!(run(&mut s, req), cold, "defer {defer:?}");
+            let capture_cycle = s.armed_checkpoint().expect("armed during the run").cycle();
+            assert_eq!(capture_cycle > 0, defer.is_some(), "defer {defer:?}");
+            for _ in 0..2 {
+                assert_eq!(run(&mut s, req.from_checkpoint()), cold, "defer {defer:?}");
+            }
+            assert_eq!(run(&mut s, req.cross_checked()), cold, "defer {defer:?}");
+        }
     }
-
-    let uncached = grid(SweepSpec::new(
-        "cache-invariance",
-        |_pt: &SweepPoint<u64>| {
-            Ok(build(&knobs)
-                .execute(RunRequest::cold(BUDGET))
-                .expect("a cold run cannot fail"))
-        },
-    ))
-    .jobs(3)
-    .run();
-
-    let cache = CheckpointCache::new();
-    let cached = grid(SweepSpec::new(
-        "cache-invariance",
-        |_pt: &SweepPoint<u64>| {
-            // Every point shares the same build prefix, hence one cache key.
-            Ok(cache.execute(0, || build(&knobs), RunRequest::cold(BUDGET))?)
-        },
-    ))
-    .jobs(1)
-    .run();
-
-    assert_eq!(cached.digest(), uncached.digest());
-    assert_eq!(cache.misses(), 1, "one cold build arms the checkpoint");
-    assert_eq!(cache.hits(), 5, "every later point replays it");
-    // The hit/miss counters surface as metrics, outside the digest.
-    let m = cache.metrics();
-    assert_eq!(
-        m.get("checkpoint.cache_hits"),
-        Some(microscope::probe::MetricValue::Count(5))
-    );
-    assert!(!cached.digest().contains("cache_hits"));
 }
 
 /// Property 3: the ring's counted-drops invariant. A roomy ring captures

@@ -1,9 +1,10 @@
 //! Figure-3 timeline structure and the enclave information boundary.
 
 use microscope::core::{RunRequest, SessionBuilder, SimConfig};
-use microscope::cpu::{ContextId, CoreConfig, TraceKind};
+use microscope::cpu::{ContextId, CoreConfig};
 use microscope::enclave::EnclaveRegion;
 use microscope::mem::VAddr;
+use microscope::probe::EventKind;
 use microscope::victims::single_secret;
 
 fn attacked_session(replays: u64, enclave: bool) -> microscope::core::AttackSession {
@@ -35,18 +36,18 @@ fn replay_cycle_has_the_figure3_event_order() {
     // Walk the trace: every Fault must be followed (eventually) by a
     // page-fault Squash and a HandlerReturn, and the same pc must fault
     // repeatedly (the replay).
-    let events = session.machine().tracer().events();
+    let events = session.probe().events();
     let mut fault_pcs = Vec::new();
     let mut squashes = 0;
     let mut handlers = 0;
     for e in events {
         match e.kind {
-            TraceKind::Fault { pc, .. } => fault_pcs.push(pc),
-            TraceKind::Squash {
+            EventKind::FaultRaised { pc, .. } => fault_pcs.push(pc),
+            EventKind::Squash {
                 cause: microscope::cpu::SquashCause::PageFault,
                 ..
             } => squashes += 1,
-            TraceKind::HandlerReturn { .. } => handlers += 1,
+            EventKind::HandlerReturn { .. } => handlers += 1,
             _ => {}
         }
     }
