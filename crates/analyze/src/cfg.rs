@@ -35,8 +35,12 @@ pub struct Cfg {
     blocks: Vec<BasicBlock>,
     block_of: Vec<usize>,
     exit: usize,
-    dom: Vec<Vec<bool>>,
-    pdom: Vec<Vec<bool>>,
+    /// `u64` words per row of the bit matrices below.
+    words: usize,
+    /// Row `b` holds the blocks that dominate `b`.
+    dom: Vec<u64>,
+    /// Row `b` holds the blocks that post-dominate `b`.
+    pdom: Vec<u64>,
 }
 
 impl Cfg {
@@ -112,52 +116,63 @@ impl Cfg {
             }
         }
         let nb = blocks.len();
-        let dom = Self::dominators(0, nb, |b| &blocks[b].preds);
-        let pdom = Self::dominators(exit, nb, |b| &blocks[b].succs);
+        let words = nb.div_ceil(64);
+        let dom = Self::dominators(0, words, (0..nb).collect(), |b| &blocks[b].preds);
+        // Post-dominance flows backwards: sweeping blocks last to first
+        // settles it in a pass or two instead of one pass per loop level.
+        let pdom = Self::dominators(exit, words, (0..nb).rev().collect(), |b| &blocks[b].succs);
         Cfg {
             blocks,
             block_of,
             exit,
+            words,
             dom,
             pdom,
         }
     }
 
     /// Iterative dominator fixpoint: `sets[root] = {root}`, everything else
-    /// starts full and shrinks via `sets[b] = {b} ∪ ⋂ sets[inputs(b)]`.
-    /// Passing predecessor edges yields dominators; successor edges (with
-    /// the exit as root) yields post-dominators. Nodes that cannot reach
-    /// the root keep full sets — a sound over-approximation for the
-    /// control-dependence queries built on top.
-    fn dominators<'a, F>(root: usize, nb: usize, inputs: F) -> Vec<Vec<bool>>
+    /// starts full and shrinks via `sets[b] = {b} ∪ ⋂ sets[inputs(b)]`,
+    /// visiting blocks in `order` each pass. Passing predecessor edges
+    /// yields dominators; successor edges (with the exit as root) yields
+    /// post-dominators. Nodes that cannot reach the root keep full sets —
+    /// a sound over-approximation for the control-dependence queries built
+    /// on top. The sets form a row-major bit matrix of `words` words per
+    /// row; any visiting order reaches the same (greatest) fixpoint.
+    fn dominators<'a, F>(root: usize, words: usize, order: Vec<usize>, inputs: F) -> Vec<u64>
     where
         F: Fn(usize) -> &'a Vec<usize>,
     {
-        let mut sets = vec![vec![true; nb]; nb];
-        sets[root] = vec![false; nb];
-        sets[root][root] = true;
+        let mut sets = vec![u64::MAX; order.len() * words];
+        let row_of = |b: usize| b * words..(b + 1) * words;
+        sets[row_of(root)].fill(0);
+        sets[root * words + root / 64] = 1 << (root % 64);
+        let mut row = vec![0u64; words];
         let mut changed = true;
         while changed {
             changed = false;
-            for b in 0..nb {
+            for &b in &order {
                 if b == root {
                     continue;
                 }
-                let ins = inputs(b);
-                let mut next = vec![ins.is_empty(); nb];
-                if !ins.is_empty() {
-                    for (i, slot) in next.iter_mut().enumerate() {
-                        *slot = ins.iter().all(|&p| sets[p][i]);
+                row.fill(u64::MAX);
+                for &p in inputs(b) {
+                    for (w, &x) in row.iter_mut().zip(&sets[row_of(p)]) {
+                        *w &= x;
                     }
                 }
-                next[b] = true;
-                if next != sets[b] {
-                    sets[b] = next;
+                row[b / 64] |= 1 << (b % 64);
+                if sets[row_of(b)] != row[..] {
+                    sets[row_of(b)].copy_from_slice(&row);
                     changed = true;
                 }
             }
         }
         sets
+    }
+
+    fn bit(sets: &[u64], words: usize, row: usize, col: usize) -> bool {
+        sets[row * words + col / 64] >> (col % 64) & 1 != 0
     }
 
     /// The basic blocks, entry first, virtual exit last.
@@ -178,13 +193,13 @@ impl Cfg {
     /// Whether block `a` dominates block `b` (every path from entry to `b`
     /// passes through `a`).
     pub fn dominates(&self, a: usize, b: usize) -> bool {
-        self.dom[b][a]
+        Self::bit(&self.dom, self.words, b, a)
     }
 
     /// Whether block `a` post-dominates block `b` (every path from `b` to
     /// exit passes through `a`).
     pub fn post_dominates(&self, a: usize, b: usize) -> bool {
-        self.pdom[b][a]
+        Self::bit(&self.pdom, self.words, b, a)
     }
 
     /// The pcs control-dependent on the conditional branch at `branch_pc`:
@@ -216,6 +231,99 @@ impl Cfg {
 mod tests {
     use super::*;
     use microscope_cpu::{Assembler, Cond, Reg};
+    use proptest::prelude::*;
+
+    /// The classic `Vec<Vec<bool>>` set fixpoint, swept in block order:
+    /// the oracle for the bit-matrix [`Cfg::dominators`].
+    fn oracle_sets(root: usize, nb: usize, inputs: impl Fn(usize) -> Vec<usize>) -> Vec<Vec<bool>> {
+        let mut sets = vec![vec![true; nb]; nb];
+        sets[root] = vec![false; nb];
+        sets[root][root] = true;
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for b in 0..nb {
+                if b == root {
+                    continue;
+                }
+                let ins = inputs(b);
+                let mut next = vec![ins.is_empty(); nb];
+                if !ins.is_empty() {
+                    for (i, slot) in next.iter_mut().enumerate() {
+                        *slot = ins.iter().all(|&p| sets[p][i]);
+                    }
+                }
+                next[b] = true;
+                if next != sets[b] {
+                    sets[b] = next;
+                    changed = true;
+                }
+            }
+        }
+        sets
+    }
+
+    /// Control-heavy programs of up to 160 instructions (so some CFGs
+    /// span more than one 64-bit word per matrix row) whose targets may
+    /// point past the end.
+    fn arb_program() -> impl Strategy<Value = Program> {
+        prop::collection::vec((0u8..8, 0usize..170), 1..160).prop_map(|spec| {
+            let insts = spec.into_iter().map(|(kind, target)| match kind {
+                0 | 1 => Inst::Branch {
+                    cond: Cond::Eq,
+                    a: Reg(1),
+                    b: Reg(2),
+                    target,
+                },
+                2 => Inst::Jmp { target },
+                3 => Inst::XBegin {
+                    abort_target: target,
+                },
+                4 => Inst::Halt,
+                _ => Inst::Nop,
+            });
+            Program::new(insts.collect())
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        /// Dominance, post-dominance and control dependence read off the
+        /// bit matrices agree with the set-fixpoint oracle for every block
+        /// pair and every pc.
+        #[test]
+        fn bit_matrix_dominance_matches_the_set_fixpoint(p in arb_program()) {
+            let cfg = Cfg::build(&p);
+            let blocks = cfg.blocks();
+            let nb = blocks.len();
+            let dom = oracle_sets(0, nb, |b| blocks[b].preds.clone());
+            let pdom = oracle_sets(cfg.exit(), nb, |b| blocks[b].succs.clone());
+            for a in 0..nb {
+                for b in 0..nb {
+                    prop_assert_eq!(cfg.dominates(a, b), dom[b][a], "dominates({}, {})", a, b);
+                    prop_assert_eq!(
+                        cfg.post_dominates(a, b),
+                        pdom[b][a],
+                        "post_dominates({}, {})",
+                        a,
+                        b
+                    );
+                }
+            }
+            for pc in 0..p.len() {
+                let b = cfg.block_of(pc);
+                let mut want = Vec::new();
+                for (x, blk) in blocks.iter().enumerate() {
+                    let on_all_paths = pdom[b][x] && x != b;
+                    if !on_all_paths && blocks[b].succs.iter().any(|&s| pdom[s][x]) {
+                        want.extend(blk.pcs());
+                    }
+                }
+                want.sort_unstable();
+                prop_assert_eq!(cfg.control_dependents(pc), want, "control_dependents({})", pc);
+            }
+        }
+    }
 
     fn diamond() -> Program {
         // 0: imm r1

@@ -9,6 +9,7 @@ use microscope_mem::{AddressSpace, PhysMem, VAddr};
 use microscope_victims::SecretMap;
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::Arc;
 
 /// How a secret leaves the speculative window.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -39,8 +40,9 @@ pub struct Transmitter {
     pub pc: usize,
     /// The leak channel.
     pub channel: Channel,
-    /// Why it was classified (for the report).
-    pub reason: String,
+    /// Why it was classified (for the report); shared by every plan
+    /// naming this transmitter.
+    pub reason: Arc<str>,
 }
 
 /// What makes an instruction replayable.
@@ -213,26 +215,40 @@ pub fn analyze(
     let transmitters = classify_transmitters(program, &cfg, &taint);
     let handles = enumerate_handles(program, &taint, phys, aspace);
     let rob = sim.core.rob_size;
-    let rdrand_fenced = sim.core.rdrand_is_fenced;
+    let serializing: Vec<bool> = program
+        .iter()
+        .map(|i| i.is_serializing(sim.core.rdrand_is_fenced))
+        .collect();
+    // Every memory access whose address resolves statically, in pc order.
+    let const_mem: Vec<(usize, VAddr)> = program
+        .iter()
+        .enumerate()
+        .filter_map(|(pc, inst)| {
+            let (base, offset, _) = inst.memory_ref()?;
+            Some((pc, taint.before(pc)?.resolve_addr(base, offset)?))
+        })
+        .collect();
+    let mut bufs = HandleBuffers::new(program.len(), cfg.blocks().len());
     let mut plans = Vec::new();
     let mut closed = 0u64;
     for h in &handles {
-        let dist = window_distances(program, h, rdrand_fenced);
-        let seeds = seed_pcs(program, &taint, h, &dist);
-        let dependent = handle_dependent_pcs(program, &cfg, &seeds);
+        window_distances(program, h, &serializing, &mut bufs);
+        seed_pcs(h, &const_mem, &mut bufs);
+        handle_dependent_pcs(program, &cfg, &mut bufs);
         for t in &transmitters {
-            match dist[t.pc] {
+            match bufs.dist[t.pc] {
                 Some(d) if d <= rob.saturating_sub(1) => plans.push(AttackPlan {
                     handle: *h,
                     transmitter: t.clone(),
                     distance: d,
-                    handle_independent: !dependent[t.pc],
+                    handle_independent: !bufs.dependent[t.pc],
                 }),
                 _ => closed += 1,
             }
         }
     }
-    plans.sort_by_key(|p| (p.handle.pc, p.transmitter.pc));
+    // Handles and transmitters are both unique per pc and in pc order.
+    debug_assert!(plans.is_sorted_by_key(|p| (p.handle.pc, p.transmitter.pc)));
     AnalysisReport {
         victim: name.to_string(),
         secret_sources: secrets.describe(),
@@ -251,6 +267,7 @@ pub fn analyze(
 /// the Figure 6 mul-vs-div victim transmits *only* this way).
 fn classify_transmitters(program: &Program, cfg: &Cfg, taint: &TaintResult) -> Vec<Transmitter> {
     let mut out: Vec<Transmitter> = Vec::new();
+    let mut is_transmitter = vec![false; program.len()];
     let mut secret_branches = Vec::new();
     for (pc, inst) in program.iter().enumerate() {
         let Some(state) = taint.before(pc) else {
@@ -261,7 +278,7 @@ fn classify_transmitters(program: &Program, cfg: &Cfg, taint: &TaintResult) -> V
                 out.push(Transmitter {
                     pc,
                     channel: Channel::Cache,
-                    reason: format!("address in {base} is secret-dependent"),
+                    reason: format!("address in {base} is secret-dependent").into(),
                 });
             }
             Inst::FOp {
@@ -276,95 +293,123 @@ fn classify_transmitters(program: &Program, cfg: &Cfg, taint: &TaintResult) -> V
                     reason: format!(
                         "divsd operand {} is secret-dependent",
                         if state.get(a).tainted { a } else { b }
-                    ),
+                    )
+                    .into(),
                 });
             }
             Inst::Branch { a, b, .. } if state.get(a).tainted || state.get(b).tainted => {
                 out.push(Transmitter {
                     pc,
                     channel: Channel::Branch,
-                    reason: "branch condition is secret-dependent".to_string(),
+                    reason: "branch condition is secret-dependent".into(),
                 });
                 secret_branches.push(pc);
             }
-            _ => {}
+            _ => continue,
         }
+        is_transmitter[pc] = true;
     }
     // Control-dependence pass: execution of either side of a secret branch
     // is itself the leak.
     for bpc in secret_branches {
         for pc in cfg.control_dependents(bpc) {
-            if out.iter().any(|t| t.pc == pc) {
+            if is_transmitter[pc] {
                 continue;
             }
-            match program.fetch(pc) {
-                Some(Inst::FOp { op: FpOp::Div, .. }) => out.push(Transmitter {
-                    pc,
-                    channel: Channel::Port,
-                    reason: format!("divsd control-dependent on secret branch at pc {bpc}"),
-                }),
-                Some(Inst::Load { .. }) | Some(Inst::Store { .. }) => out.push(Transmitter {
-                    pc,
-                    channel: Channel::Cache,
-                    reason: format!("memory access control-dependent on secret branch at pc {bpc}"),
-                }),
-                _ => {}
-            }
+            let (channel, what) = match program.fetch(pc) {
+                Some(Inst::FOp { op: FpOp::Div, .. }) => (Channel::Port, "divsd"),
+                Some(Inst::Load { .. }) | Some(Inst::Store { .. }) => {
+                    (Channel::Cache, "memory access")
+                }
+                _ => continue,
+            };
+            out.push(Transmitter {
+                pc,
+                channel,
+                reason: format!("{what} control-dependent on secret branch at pc {bpc}").into(),
+            });
+            is_transmitter[pc] = true;
         }
     }
     out.sort_by_key(|t| t.pc);
     out
 }
 
-/// The pcs that fault alongside a page-fault handle while its page is
-/// armed: the handle itself plus every same-page const-resolved memory
-/// access reachable inside its window. Arming clears the Present bit on
-/// the whole *page*, so those accesses never forward a value inside the
-/// handle's windows either. Same-page accesses *older* than the handle
-/// are excluded: the module's stepwise replay (handle/pivot alternation)
-/// has already serviced them by the time the planned handle faults —
-/// the paper's per-round `rk`-access walk through AES.
-fn seed_pcs(
-    program: &Program,
-    taint: &TaintResult,
-    handle: &Handle,
-    dist: &[Option<usize>],
-) -> Vec<usize> {
-    let HandleKind::PageFault { vaddr, .. } = handle.kind else {
-        return vec![handle.pc];
-    };
-    let mut seeds = vec![handle.pc];
-    for (pc, inst) in program.iter().enumerate() {
-        if pc == handle.pc || dist[pc].is_none() || !inst.is_memory() {
-            continue;
-        }
-        let Some(state) = taint.before(pc) else {
-            continue;
-        };
-        let (base, offset, _) = inst.memory_ref().expect("memory inst");
-        if let Some(a) = state.resolve_addr(base, offset) {
-            if a.same_page(vaddr) {
-                seeds.push(pc);
-            }
+/// Per-handle work buffers, allocated once per [`analyze`] call and
+/// reused for every handle.
+struct HandleBuffers {
+    /// [`window_distances`]' result.
+    dist: Vec<Option<usize>>,
+    /// [`window_distances`]' BFS queue of `(pc, distance)`.
+    queue: VecDeque<(usize, usize)>,
+    /// [`seed_pcs`]' result, as a per-pc mask.
+    seed: Vec<bool>,
+    /// [`handle_dependent_pcs`]' result.
+    dependent: Vec<bool>,
+    /// [`handle_dependent_pcs`]' bitmask of handle-dependent registers at
+    /// each block entry (`Reg::COUNT` is 32, comfortably within u64).
+    block_in: Vec<Option<u64>>,
+    /// [`handle_dependent_pcs`]' worklist of blocks.
+    work: Vec<usize>,
+}
+
+impl HandleBuffers {
+    fn new(n: usize, nb: usize) -> HandleBuffers {
+        HandleBuffers {
+            dist: vec![None; n],
+            queue: VecDeque::new(),
+            seed: vec![false; n],
+            dependent: vec![false; n],
+            block_in: vec![None; nb],
+            work: Vec::new(),
         }
     }
-    seeds
+}
+
+/// Marks in `bufs.seed` the pcs that fault alongside the handle while its
+/// page is armed: the handle itself and, for a page-fault handle, every
+/// const-resolved access to the same page that `bufs.dist` reaches —
+/// at *any* fetch distance short of a serializing instruction, not only
+/// within the ROB. `const_mem` lists the statically resolved memory
+/// accesses as `(pc, vaddr)`. Arming clears the Present bit on the whole
+/// *page*, so those accesses never forward a value inside the handle's
+/// windows either. Same-page accesses *older* than the handle are
+/// excluded: the module's stepwise replay (handle/pivot alternation) has
+/// already serviced them by the time the planned handle faults — the
+/// paper's per-round `rk`-access walk through AES. The seeds decide
+/// [`AttackPlan::handle_independent`].
+fn seed_pcs(handle: &Handle, const_mem: &[(usize, VAddr)], bufs: &mut HandleBuffers) {
+    bufs.seed.fill(false);
+    bufs.seed[handle.pc] = true;
+    let HandleKind::PageFault { vaddr, .. } = handle.kind else {
+        return;
+    };
+    for &(pc, a) in const_mem {
+        if bufs.dist[pc].is_some() && a.same_page(vaddr) {
+            bufs.seed[pc] = true;
+        }
+    }
 }
 
 /// Forward register-dependence closure from the seed instructions'
-/// destinations: `out[pc]` is true when the instruction at `pc` reads a
-/// register whose value may derive from a seed's result along some path.
-/// Worklist fixpoint over the CFG with may-union at joins and strong
-/// kills on overwrite within a block; memory-carried dependence is not
-/// tracked (see [`AttackPlan::handle_independent`]).
-fn handle_dependent_pcs(program: &Program, cfg: &Cfg, seeds: &[usize]) -> Vec<bool> {
-    let nb = cfg.blocks().len();
-    // Bitmask of handle-dependent registers at each block entry
-    // (`Reg::COUNT` is 32, comfortably within u64).
-    let mut block_in: Vec<Option<u64>> = vec![None; nb];
+/// destinations (`bufs.seed`): `bufs.dependent[pc]` becomes true when the
+/// instruction at `pc` reads a register whose value may derive from a
+/// seed's result along some path. Worklist fixpoint over the CFG with
+/// may-union at joins and strong kills on overwrite within a block;
+/// memory-carried dependence is not tracked (see
+/// [`AttackPlan::handle_independent`]).
+fn handle_dependent_pcs(program: &Program, cfg: &Cfg, bufs: &mut HandleBuffers) {
+    let HandleBuffers {
+        seed,
+        dependent,
+        block_in,
+        work,
+        ..
+    } = bufs;
+    block_in.fill(None);
     block_in[0] = Some(0);
-    let mut dependent = vec![false; program.len()];
-    let mut work: Vec<usize> = vec![0];
+    dependent.fill(false);
+    work.push(0);
     while let Some(b) = work.pop() {
         let Some(mut mask) = block_in[b] else {
             continue;
@@ -379,7 +424,7 @@ fn handle_dependent_pcs(program: &Program, cfg: &Cfg, seeds: &[usize]) -> Vec<bo
                 dependent[pc] = true;
             }
             if let Some(d) = inst.dst() {
-                if seeds.contains(&pc) || from_srcs {
+                if seed[pc] || from_srcs {
                     mask |= 1u64 << d.index();
                 } else {
                     mask &= !(1u64 << d.index());
@@ -397,7 +442,6 @@ fn handle_dependent_pcs(program: &Program, cfg: &Cfg, seeds: &[usize]) -> Vec<bo
             }
         }
     }
-    dependent
 }
 
 /// Enumerates replay-handle candidates: memory accesses to statically
@@ -444,63 +488,51 @@ fn enumerate_handles(
     out
 }
 
-/// BFS over fetch successors from the handle: `dist[pc]` is the minimum
-/// number of instructions fetched after the handle before `pc` issues in
-/// its shadow, or `None` when unreachable without crossing a serializing
-/// instruction (`Fence`; `RdRand` when the core fences it; `XEnd` for
-/// TSX handles, whose replay scope is the transaction body).
-fn window_distances(program: &Program, handle: &Handle, rdrand_fenced: bool) -> Vec<Option<usize>> {
+/// BFS over fetch successors from the handle: `bufs.dist[pc]` becomes
+/// the minimum number of instructions fetched after the handle before
+/// `pc` issues in its shadow, or `None` when unreachable without crossing
+/// a serializing instruction (`serializing[pc]`: `Fence`; `RdRand` when
+/// the core fences it; `XEnd` for TSX handles, whose replay scope is the
+/// transaction body). A serializing transmitter cannot issue
+/// speculatively at all, so serializing pcs stay `None` themselves.
+fn window_distances(
+    program: &Program,
+    handle: &Handle,
+    serializing: &[bool],
+    bufs: &mut HandleBuffers,
+) {
     let n = program.len();
-    let mut dist: Vec<Option<usize>> = vec![None; n];
+    let HandleBuffers { dist, queue, .. } = bufs;
+    dist.fill(None);
     let stop_at_xend = matches!(handle.kind, HandleKind::TsxAbort);
-    let mut q: VecDeque<(usize, usize)> = VecDeque::new();
-    let start_inst = program.fetch(handle.pc).expect("handle pc in range");
+    let mut visit = |s: usize, d: usize, queue: &mut VecDeque<(usize, usize)>| {
+        if s < n && dist[s].is_none() && !serializing[s] {
+            dist[s] = Some(d);
+            queue.push_back((s, d));
+        }
+    };
     // The wrong path of a mispredicted branch covers both successors; a
     // faulting access or xbegin continues at its fall-through.
-    let mut starts: Vec<usize> = Vec::new();
-    match handle.kind {
-        HandleKind::Mispredict => {
-            starts.push(handle.pc + 1);
-            if let Some(t) = start_inst.control_target() {
-                starts.push(t);
-            }
-        }
-        _ => starts.push(handle.pc + 1),
-    }
-    for s in starts {
-        if s < n && dist[s].is_none() {
-            dist[s] = Some(1);
-            q.push_back((s, 1));
+    visit(handle.pc + 1, 1, queue);
+    if let HandleKind::Mispredict = handle.kind {
+        let start_inst = program.fetch(handle.pc).expect("handle pc in range");
+        if let Some(t) = start_inst.control_target() {
+            visit(t, 1, queue);
         }
     }
-    while let Some((pc, d)) = q.pop_front() {
+    while let Some((pc, d)) = queue.pop_front() {
         let inst = program.fetch(pc).expect("pc in range");
-        // Serializing instructions sit in the window but nothing younger
-        // issues beneath them; XEnd commits a TSX region.
-        if inst.is_serializing(rdrand_fenced) || (stop_at_xend && matches!(inst, Inst::XEnd)) {
+        // XEnd commits a TSX region: nothing younger replays with it.
+        if stop_at_xend && matches!(inst, Inst::XEnd) {
             continue;
         }
-        let mut next: Vec<usize> = Vec::new();
         if inst.falls_through() {
-            next.push(pc + 1);
+            visit(pc + 1, d + 1, queue);
         }
         if let Some(t) = inst.control_target() {
-            next.push(t);
-        }
-        for s in next {
-            if s < n && dist[s].is_none() {
-                dist[s] = Some(d + 1);
-                q.push_back((s, d + 1));
-            }
+            visit(t, d + 1, queue);
         }
     }
-    // A serializing transmitter cannot issue speculatively at all.
-    for (pc, inst) in program.iter().enumerate() {
-        if inst.is_serializing(rdrand_fenced) {
-            dist[pc] = None;
-        }
-    }
-    dist
 }
 
 #[cfg(test)]

@@ -32,6 +32,7 @@ pub enum Value {
 }
 
 impl Value {
+    #[cfg(test)]
     fn join(self, other: Value) -> Value {
         match (self, other) {
             (Value::Const(a), Value::Const(b)) if a == b => Value::Const(a),
@@ -58,6 +59,8 @@ pub struct AbsVal {
 }
 
 impl AbsVal {
+    /// The per-register join; the oracle for [`RegState`]'s packed join.
+    #[cfg(test)]
     fn join(self, other: AbsVal) -> AbsVal {
         AbsVal {
             value: self.value.join(other.value),
@@ -66,46 +69,62 @@ impl AbsVal {
     }
 }
 
-/// The abstract register file at one program point.
+/// The abstract register file at one program point, packed: register
+/// `i`'s constant is `vals[i]` when bit `i` of `known` is set (and `0`
+/// otherwise, so equal states compare equal), and bit `i` of `tainted`
+/// is its taint bit.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RegState {
-    regs: [AbsVal; Reg::COUNT],
+    vals: [u64; Reg::COUNT],
+    known: u32,
+    tainted: u32,
 }
 
 impl RegState {
-    fn entry(secrets: &SecretMap) -> RegState {
-        let mut s = RegState {
-            // Architectural registers start zeroed.
-            regs: [AbsVal {
-                value: Value::Const(0),
-                tainted: false,
-            }; Reg::COUNT],
-        };
-        s.apply_sticky(secrets);
-        s
+    /// Architectural registers start zeroed; `sticky` is the taint mask
+    /// of the always-secret registers.
+    fn entry(sticky: u32) -> RegState {
+        RegState {
+            vals: [0; Reg::COUNT],
+            known: u32::MAX,
+            tainted: sticky,
+        }
     }
 
-    fn join(&self, other: &RegState) -> RegState {
-        let mut out = self.clone();
-        for i in 0..Reg::COUNT {
-            out.regs[i] = out.regs[i].join(other.regs[i]);
+    /// Joins `other` into `self` in place; returns whether `self` changed.
+    fn join(&mut self, other: &RegState) -> bool {
+        let before = (self.known, self.tainted);
+        let mut m = self.known;
+        while m != 0 {
+            let i = m.trailing_zeros() as usize;
+            m &= m - 1;
+            if other.known & (1 << i) == 0 || self.vals[i] != other.vals[i] {
+                self.known &= !(1 << i);
+                self.vals[i] = 0;
+            }
         }
-        out
-    }
-
-    fn apply_sticky(&mut self, secrets: &SecretMap) {
-        for r in secrets.sticky_regs() {
-            self.regs[r.index()].tainted = true;
-        }
+        self.tainted |= other.tainted;
+        (self.known, self.tainted) != before
     }
 
     /// The abstract state of `reg`.
     pub fn get(&self, reg: Reg) -> AbsVal {
-        self.regs[reg.index()]
+        let bit = 1 << reg.index();
+        AbsVal {
+            value: if self.known & bit != 0 {
+                Value::Const(self.vals[reg.index()])
+            } else {
+                Value::Unknown
+            },
+            tainted: self.tainted & bit != 0,
+        }
     }
 
     fn set(&mut self, reg: Reg, v: AbsVal) {
-        self.regs[reg.index()] = v;
+        let (i, c) = (reg.index(), v.value.as_const());
+        self.vals[i] = c.unwrap_or(0);
+        self.known = self.known & !(1 << i) | u32::from(c.is_some()) << i;
+        self.tainted = self.tainted & !(1 << i) | u32::from(v.tainted) << i;
     }
 
     /// The statically resolved address of a `base + offset` memory
@@ -194,63 +213,59 @@ impl TaintResult {
 
 /// Runs the register+memory taint dataflow to fixpoint over the CFG.
 pub fn analyze(program: &Program, cfg: &Cfg, secrets: &SecretMap) -> TaintResult {
-    let n = program.len();
-    let mut state_at: Vec<Option<RegState>> = vec![None; n];
+    let sticky = secrets.sticky_regs().fold(0u32, |m, r| m | 1 << r.index());
+    let mut state_at: Vec<Option<RegState>> = vec![None; program.len()];
     let mut memory = MemTaint::seeded(secrets);
     // Block-entry states; the worklist fixpoint joins over predecessors.
-    let nb = cfg.blocks().len();
-    let mut block_in: Vec<Option<RegState>> = vec![None; nb];
-    block_in[0] = Some(RegState::entry(secrets));
+    let mut block_in: Vec<Option<RegState>> = vec![None; cfg.blocks().len()];
+    let mut work: Vec<usize> = Vec::new();
     loop {
-        let mut work: Vec<usize> = vec![0];
+        block_in[0] = Some(RegState::entry(sticky));
+        work.push(0);
         let mut mem_grew = false;
         while let Some(b) = work.pop() {
             let Some(mut cur) = block_in[b].clone() else {
                 continue;
             };
             for pc in cfg.blocks()[b].pcs() {
-                let merged = match &state_at[pc] {
-                    Some(prev) => prev.join(&cur),
-                    None => cur.clone(),
-                };
-                state_at[pc] = Some(merged.clone());
-                cur = merged;
+                match &mut state_at[pc] {
+                    Some(prev) => {
+                        prev.join(&cur);
+                        cur.clone_from(prev);
+                    }
+                    slot @ None => *slot = Some(cur.clone()),
+                }
                 mem_grew |= transfer(
                     program.fetch(pc).expect("pc in range"),
                     &mut cur,
                     &mut memory,
                     secrets,
                 );
-                cur.apply_sticky(secrets);
+                cur.tainted |= sticky;
             }
             for &s in &cfg.blocks()[b].succs {
                 if s == cfg.exit() {
                     continue;
                 }
-                let next = match &block_in[s] {
+                match &mut block_in[s] {
                     Some(prev) => {
-                        let j = prev.join(&cur);
-                        if j == *prev {
+                        if !prev.join(&cur) {
                             continue;
                         }
-                        j
                     }
-                    None => cur.clone(),
-                };
-                block_in[s] = Some(next);
+                    slot @ None => *slot = Some(cur.clone()),
+                }
                 work.push(s);
             }
         }
         // Memory taint grew mid-pass: earlier loads may now read tainted
         // ranges. Re-run with states reset (memory only grows, so this
         // terminates).
-        if mem_grew {
-            state_at = vec![None; n];
-            block_in = vec![None; nb];
-            block_in[0] = Some(RegState::entry(secrets));
-        } else {
+        if !mem_grew {
             break;
         }
+        state_at.fill(None);
+        block_in.fill(None);
     }
     TaintResult { state_at, memory }
 }
@@ -396,6 +411,56 @@ fn transfer(inst: Inst, s: &mut RegState, memory: &mut MemTaint, secrets: &Secre
 mod tests {
     use super::*;
     use microscope_cpu::{AluOp, Assembler, Reg};
+    use proptest::prelude::*;
+
+    /// Few distinct constants (one of them large), so joins meet equal
+    /// and mismatched constants as well as `Unknown`.
+    fn arb_absval() -> impl Strategy<Value = AbsVal> {
+        (0u64..4, 0u8..2).prop_map(|(v, t)| AbsVal {
+            value: match v {
+                0 => Value::Unknown,
+                1 => Value::Const(u64::MAX - 7),
+                _ => Value::Const(v),
+            },
+            tainted: t == 1,
+        })
+    }
+
+    fn regs() -> impl Iterator<Item = Reg> {
+        (0..Reg::COUNT).map(|i| Reg(i as u8))
+    }
+
+    fn state_of(vals: &[AbsVal]) -> RegState {
+        let mut s = RegState::entry(0);
+        for (r, &v) in regs().zip(vals) {
+            s.set(r, v);
+        }
+        s
+    }
+
+    proptest! {
+        /// The packed register file's `set`/`get` round-trip, and its
+        /// in-place join agrees register by register with
+        /// [`AbsVal::join`], including whether anything changed.
+        #[test]
+        fn packed_join_matches_the_per_register_join(
+            a in prop::collection::vec(arb_absval(), Reg::COUNT..Reg::COUNT + 1),
+            b in prop::collection::vec(arb_absval(), Reg::COUNT..Reg::COUNT + 1),
+        ) {
+            let (sa, sb) = (state_of(&a), state_of(&b));
+            for (r, &v) in regs().zip(&a) {
+                prop_assert_eq!(sa.get(r), v);
+            }
+            let want: Vec<AbsVal> = a.iter().zip(&b).map(|(x, y)| x.join(*y)).collect();
+            let mut joined = sa.clone();
+            let changed = joined.join(&sb);
+            for (r, &v) in regs().zip(&want) {
+                prop_assert_eq!(joined.get(r), v, "{}", r);
+            }
+            prop_assert_eq!(changed, want != a);
+            prop_assert_eq!(&joined, &state_of(&want));
+        }
+    }
 
     fn run(asm: &mut Assembler, secrets: &SecretMap) -> (Program, TaintResult) {
         let p = asm.finish();

@@ -71,11 +71,26 @@ echo "== sweep smoke: ablate_walk --jobs 2 =="
 # the shape checks end-to-end in well under a second.
 cargo run -q --release -p microscope-bench --bin ablate_walk -- --jobs 2
 
-echo "== analyzer smoke: sec8_analyze --audit-defenses =="
+echo "== analyzer smoke: sec8_analyze --audit-defenses, pinned stdout =="
 # Static plans for all 8 victims, simulator confirmation for 4, and the
 # fence audit (zero open windows + no replay amplification) — the
-# binary's own shape checks gate the exit code.
-cargo run -q --release -p microscope-bench --bin sec8_analyze -- --audit-defenses --jobs 2
+# binary's own shape checks gate the exit code. Its stdout bytes are
+# pinned as well, at 1 worker and at 2: a planner speed-up must print the
+# same report byte for byte. stderr carries the timing line and is not
+# pinned. A deliberate change to the report re-pins the cksum in the same
+# commit and says why.
+ANALYZE_OUT="${TMPDIR:-/tmp}/sec8_analyze.out"
+for jobs in 1 2; do
+    cargo run -q --release -p microscope-bench --bin sec8_analyze -- \
+        --audit-defenses --jobs "$jobs" >"$ANALYZE_OUT"
+    got=$(cksum <"$ANALYZE_OUT")
+    if [ "$got" != "562405399 193994" ]; then
+        echo "error: sec8_analyze --jobs $jobs stdout cksum $got, pinned 562405399 193994" >&2
+        exit 1
+    fi
+    echo "sec8_analyze --jobs $jobs stdout cksum $got"
+done
+rm -f "$ANALYZE_OUT"
 
 echo "== analyzer soundness property =="
 cargo test -q --release --test analyze_soundness
