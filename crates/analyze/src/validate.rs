@@ -1,11 +1,13 @@
 //! Cross-checks a static [`AttackPlan`] against the cycle-level
 //! simulator: drives the plan's replay handle through an
-//! [`AttackSession`](microscope_core::AttackSession) and counts how many
-//! times the predicted transmitter actually issued in the handle's
-//! shadow.
+//! [`AttackSession`] and counts how many times the predicted transmitter
+//! actually issued in the handle's shadow. The count is the core's own
+//! per-pc issue counter
+//! ([`Context::issues_at`](microscope_cpu::Context::issues_at)), so
+//! validation runs with tracing off.
 
 use crate::plan::{AttackPlan, HandleKind};
-use microscope_core::{BuildError, RunRequest, SessionBuilder};
+use microscope_core::{AttackSession, BuildError, RunError, RunRequest, SessionBuilder};
 use microscope_cpu::ContextId;
 use microscope_mem::VAddr;
 use microscope_probe::RecorderConfig;
@@ -20,6 +22,8 @@ pub enum ValidateError {
     UnsupportedHandle(HandleKind),
     /// The session failed to assemble.
     Build(BuildError),
+    /// The cold run was refused.
+    Run(RunError),
 }
 
 impl fmt::Display for ValidateError {
@@ -29,11 +33,20 @@ impl fmt::Display for ValidateError {
                 write!(f, "handle kind {k:?} cannot be driven by the replay module")
             }
             ValidateError::Build(e) => write!(f, "session build failed: {e}"),
+            ValidateError::Run(e) => write!(f, "validation run failed: {e}"),
         }
     }
 }
 
-impl std::error::Error for ValidateError {}
+impl std::error::Error for ValidateError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            ValidateError::UnsupportedHandle(_) => None,
+            ValidateError::Build(e) => Some(e),
+            ValidateError::Run(e) => Some(e),
+        }
+    }
+}
 
 /// The measured outcome of replaying one predicted plan.
 #[derive(Clone, Copy, Debug)]
@@ -42,8 +55,8 @@ pub struct PlanValidation {
     pub handle_pc: usize,
     /// The transmitter pc the plan predicted.
     pub transmitter_pc: usize,
-    /// How many times the transmitter issued (from the probe's issue
-    /// stream): >1 means it ran again under replay.
+    /// How many times the transmitter issued (the core's per-pc issue
+    /// count): >1 means it ran again under replay.
     pub transmitter_executions: u64,
     /// Replays the module performed on the handle.
     pub replays: u64,
@@ -80,9 +93,9 @@ impl fmt::Display for PlanValidation {
 
 /// Runs `plan` through the simulator. The caller supplies a
 /// [`SessionBuilder`] with the victim (and its memory image) already
-/// installed; this function wires the probe, installs the replay recipe
-/// for the plan's handle, runs for `max_cycles`, and measures the
-/// transmitter's issue count.
+/// installed; this function turns the probe off, installs the replay
+/// recipe for the plan's handle, runs for `max_cycles`, and reads the
+/// transmitter's issue count from the victim context.
 ///
 /// A validation bounded at 4 replays per step keeps runs short while
 /// still distinguishing "replayed" (>= 2 issues of the transmitter)
@@ -98,7 +111,8 @@ impl fmt::Display for PlanValidation {
 /// # Errors
 ///
 /// [`ValidateError::UnsupportedHandle`] for TSX/mispredict handles,
-/// [`ValidateError::Build`] when the session cannot be assembled.
+/// [`ValidateError::Build`] when the session cannot be assembled,
+/// [`ValidateError::Run`] when the cold run is refused.
 pub fn validate_plan(
     mut builder: SessionBuilder,
     plan: &AttackPlan,
@@ -108,10 +122,7 @@ pub fn validate_plan(
     let HandleKind::PageFault { vaddr, .. } = plan.handle.kind else {
         return Err(ValidateError::UnsupportedHandle(plan.handle.kind));
     };
-    builder.probe(RecorderConfig {
-        enabled: true,
-        capacity: 500_000,
-    });
+    builder.probe(RecorderConfig::disabled());
     let id = builder.module().provide_replay_handle(ContextId(0), vaddr);
     {
         let recipe = builder.module().recipe_mut(id);
@@ -122,8 +133,8 @@ pub fn validate_plan(
     let mut session = builder.build().map_err(ValidateError::Build)?;
     let report = session
         .execute(RunRequest::cold(max_cycles))
-        .expect("a cold run cannot fail");
-    let executions = report.executions_of(0, plan.transmitter.pc);
+        .map_err(ValidateError::Run)?;
+    let executions = victim_issues(&session, plan.transmitter.pc);
     let replays: u64 = report.module.replays.iter().sum();
     // Cross-check the checkpoint/fast-replay engine on this plan: rewind
     // to the armed snapshot and re-run. A rerun that disagrees with the
@@ -133,7 +144,7 @@ pub fn validate_plan(
         .execute(RunRequest::cold(max_cycles).from_checkpoint())
         .ok()
         .map(|again| {
-            again.executions_of(0, plan.transmitter.pc) == executions
+            victim_issues(&session, plan.transmitter.pc) == executions
                 && again.module.replays.iter().sum::<u64>() == replays
         });
     Ok(PlanValidation {
@@ -150,18 +161,25 @@ pub fn validate_plan(
 /// for fence-audit runs: a hardened program should keep the transmitter
 /// at its natural issue count even under replay pressure — see
 /// [`validate_plan`] for the attacked variant).
+///
+/// # Errors
+///
+/// [`ValidateError::Build`] when the session cannot be assembled,
+/// [`ValidateError::Run`] when the cold run is refused.
 pub fn baseline_executions(
     mut builder: SessionBuilder,
     pc: usize,
     max_cycles: u64,
 ) -> Result<u64, ValidateError> {
-    builder.probe(RecorderConfig {
-        enabled: true,
-        capacity: 500_000,
-    });
+    builder.probe(RecorderConfig::disabled());
     let mut session = builder.build().map_err(ValidateError::Build)?;
-    let report = session
+    session
         .execute(RunRequest::cold(max_cycles))
-        .expect("a cold run cannot fail");
-    Ok(report.executions_of(0, pc))
+        .map_err(ValidateError::Run)?;
+    Ok(victim_issues(&session, pc))
+}
+
+/// How many times the victim's instruction at `pc` has issued so far.
+fn victim_issues(session: &AttackSession, pc: usize) -> u64 {
+    session.machine().context(ContextId(0)).issues_at(pc)
 }

@@ -121,7 +121,11 @@ impl AttackReport {
     /// (began execution) during the run, counting squashed-and-replayed
     /// executions — the ground truth a static attack plan is validated
     /// against: a transmitter predicted replayable must issue more than
-    /// once. Requires tracing to have been enabled.
+    /// once. Counted from the trace, so it returns 0 when tracing was off,
+    /// and it silently undercounts once the ring has overwritten events
+    /// (`dropped_events > 0`). The exact count, kept with or without
+    /// tracing, is
+    /// [`Context::issues_at`](microscope_cpu::Context::issues_at).
     pub fn executions_of(&self, ctx: u32, pc: usize) -> u64 {
         self.trace
             .iter()

@@ -121,12 +121,16 @@ pub struct Context {
     pub(crate) fences: Vec<u64>,
     /// Statistics.
     pub(crate) stats: ContextStats,
+    /// Issues per program pc, squashed and replayed ones included (see
+    /// [`Context::issues_at`]).
+    pub(crate) issues: Vec<u64>,
 }
 
 impl Context {
     pub(crate) fn new(id: ContextId, program: Program, aspace: AddressSpace, seed: u64) -> Self {
         Context {
             id,
+            issues: vec![0; program.len()],
             program,
             aspace,
             pc: 0,
@@ -199,6 +203,17 @@ impl Context {
     /// Execution statistics.
     pub fn stats(&self) -> &ContextStats {
         &self.stats
+    }
+
+    /// How many times the instruction at `pc` issued (began execution),
+    /// counting squashed and replayed issues: the exact count of the
+    /// probe's `Issue` events for this context and pc, kept whether or not
+    /// tracing is on. A replayed transmitter issues more than once. The
+    /// count is part of the context's state, so
+    /// [`Machine::restore`](crate::Machine::restore) rewinds it. Returns 0
+    /// for a pc outside the program.
+    pub fn issues_at(&self, pc: usize) -> u64 {
+        self.issues.get(pc).copied().unwrap_or(0)
     }
 
     /// Number of in-flight (un-retired) instructions.

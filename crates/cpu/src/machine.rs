@@ -1043,6 +1043,7 @@ impl Machine {
         let seq = self.contexts[ci].rob[idx].seq;
         let pc = self.contexts[ci].rob[idx].pc;
         self.emit(now, ci, EventKind::Issue { seq, pc: pc as u64 });
+        self.contexts[ci].issues[pc] += 1;
         let (value, latency, fault, mem, fill_at_retire, store_value) = match inst {
             Inst::Imm { value, .. } => (value, base_lat, None, None, None, None),
             Inst::Mov { .. } => (src_vals[0], base_lat, None, None, None, None),

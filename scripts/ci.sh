@@ -50,7 +50,8 @@ echo "== repo benchmark: pinned work counters (seed 1, traced) =="
 # replays. A host-speed change must leave them exactly as they are; a
 # change that moves one on purpose (fewer steps, a new model) re-pins it
 # in the same commit and says why. Fields: steps:dispatched:replays.
-for pin in fig10_replay:10993:10776:800 aes_step:9819.8:28907:111; do
+for pin in fig10_replay:10993:10776:800 aes_step:9819.8:28907:111 \
+    sec8_plan:2952.9:7451.8:40; do
     workload=${pin%%:*}
     want=${pin#*:}
     got=$(cargo run -q --release --manifest-path perfbench/Cargo.toml -- \

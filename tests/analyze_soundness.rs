@@ -8,7 +8,7 @@
 
 use microscope::analyze::analyze;
 use microscope::core::sweep::{SweepPoint, SweepSpec};
-use microscope::core::{RunRequest, SessionBuilder, SimConfig};
+use microscope::core::{AttackReport, AttackSession, RunRequest, SessionBuilder, SimConfig};
 use microscope::cpu::{AluOp, Assembler, ContextId, Program, Reg};
 use microscope::mem::{AddressSpace, PteFlags, VAddr, PAGE_BYTES};
 use microscope::probe::RecorderConfig;
@@ -109,29 +109,43 @@ struct Measured {
 }
 
 /// Baseline issue count of the transmitter, then the attacked count with
-/// the handle page armed for 4 replays.
+/// the handle page armed for 4 replays. Both runs are traced, and the
+/// trace is the oracle for the core's per-pc issue counter: for every pc
+/// of the victim, `issues_at` must equal the probe's `Issue` events.
 fn measure(shape: &Shape) -> Measured {
     let (b, _, _, transmitter_pc) = session_for(shape);
-    let baseline = b
-        .build()
-        .expect("victim installed")
-        .execute(RunRequest::cold(MAX_CYCLES))
-        .expect("a cold run cannot fail")
-        .executions_of(0, transmitter_pc);
+    let baseline = traced_issues(b.build().expect("victim installed"), transmitter_pc).0;
 
     let (mut b, _, _, _) = session_for(shape);
     let id = b.module().provide_replay_handle(ContextId(0), HANDLE_PAGE);
     b.module().recipe_mut(id).replays_per_step = 4;
-    let report = b
-        .build()
-        .expect("victim installed")
-        .execute(RunRequest::cold(MAX_CYCLES))
-        .expect("a cold run cannot fail");
+    let (attacked, report) = traced_issues(b.build().expect("victim installed"), transmitter_pc);
     Measured {
         baseline,
-        attacked: report.executions_of(0, transmitter_pc),
+        attacked,
         replays: report.module.replays.iter().sum(),
     }
+}
+
+/// Runs `session` cold and returns the issue count of `pc` with the
+/// report, after checking the counter against the complete trace.
+fn traced_issues(mut session: AttackSession, pc: usize) -> (u64, AttackReport) {
+    let report = session
+        .execute(RunRequest::cold(MAX_CYCLES))
+        .expect("a cold run cannot fail");
+    assert_eq!(
+        report.dropped_events, 0,
+        "the oracle trace must be complete"
+    );
+    let victim = session.machine().context(ContextId(0));
+    for p in 0..victim.program().len() {
+        assert_eq!(
+            victim.issues_at(p),
+            report.executions_of(0, p),
+            "issue counter disagrees with the trace at pc {p}"
+        );
+    }
+    (victim.issues_at(pc), report)
 }
 
 fn measure_grid(shapes: &[Shape], jobs: usize) -> Vec<Measured> {

@@ -24,6 +24,7 @@ fn every_error_type_is_send_sync_static() {
     assert_error_type::<SweepError>();
     assert_error_type::<microscope_bench::ArgError>();
     assert_error_type::<microscope_bench::ExportError>();
+    assert_error_type::<microscope::analyze::ValidateError>();
 }
 
 #[test]
@@ -88,6 +89,8 @@ fn displays_follow_what_failed_colon_why() {
             expected: "a positive integer",
         }
         .to_string(),
+        microscope::analyze::ValidateError::Run(RunError::CheckpointMismatch { capture_cycle: 9 })
+            .to_string(),
     ];
     for msg in &cases {
         assert!(
@@ -107,6 +110,7 @@ fn displays_follow_what_failed_colon_why() {
         cases[4]
     );
     assert!(cases[7].contains("--jobs"));
+    assert!(cases[9].starts_with("validation run failed: checkpoint restore failed:"));
 }
 
 #[test]
@@ -136,6 +140,12 @@ fn error_sources_chain_to_the_cause() {
     let wrapped = SweepError::Run(diverged());
     assert_eq!(
         wrapped.source().unwrap().downcast_ref::<RunError>(),
+        Some(&diverged())
+    );
+
+    let validate = microscope::analyze::ValidateError::Run(diverged());
+    assert_eq!(
+        validate.source().unwrap().downcast_ref::<RunError>(),
         Some(&diverged())
     );
 

@@ -6,12 +6,14 @@
 //!    (via `Debug`) to a cold re-execution of an identically built
 //!    session, across arbitrary victims, replay counts and core configs,
 //!    whether the checkpoint was captured up front or mid-run at a
-//!    deferred-arm interrupt.
+//!    deferred-arm interrupt. So is every context's per-pc issue count
+//!    (`Context::issues_at`), which the report does not carry.
 //! 2. **Fast-forward is invisible** — idle-cycle clock jumps change
 //!    nothing observable: cycle-by-cycle and fast-forwarded execution
 //!    yield byte-identical reports (also enforced internally by
 //!    `RunRequest::cross_checked`), including over divisions that wait on
-//!    a divider an SMT sibling keeps busy and over fenced windows.
+//!    a divider an SMT sibling keeps busy and over fenced windows. The
+//!    per-pc issue counts agree as well.
 //! 3. **The probe ring counts its drops** — a ring too small for the
 //!    event stream records `capacity` events and counts the rest, so
 //!    `recorded + dropped` equals the full stream's length.
@@ -176,6 +178,19 @@ fn bytes(report: &AttackReport) -> String {
     format!("{report:?}")
 }
 
+/// Every context's per-pc issue counts, which are not in the report.
+fn issue_counts(session: &AttackSession) -> Vec<Vec<u64>> {
+    let m = session.machine();
+    (0..m.context_count())
+        .map(|c| {
+            let ctx = m.context(ContextId(c));
+            (0..ctx.program().len())
+                .map(|pc| ctx.issues_at(pc))
+                .collect()
+        })
+        .collect()
+}
+
 const BUDGET: u64 = 40_000_000;
 
 proptest! {
@@ -184,11 +199,13 @@ proptest! {
     /// Property 1: cold re-execution vs restore-from-checkpoint.
     #[test]
     fn rerun_from_checkpoint_matches_cold_execution(k in arb_knobs()) {
+        let mut cold_session = build(&k);
         let cold = bytes(
-            &build(&k)
+            &cold_session
                 .execute(RunRequest::cold(BUDGET))
                 .expect("a cold run cannot fail"),
         );
+        let cold_issues = issue_counts(&cold_session);
         let mut session = build(&k);
         let first = session
             .execute(RunRequest::cold(BUDGET))
@@ -200,6 +217,11 @@ proptest! {
                 .execute(RunRequest::cold(BUDGET).from_checkpoint())
                 .expect("checkpoint captured");
             prop_assert_eq!(&bytes(&again), &cold, "rerun must be byte-identical to cold");
+            prop_assert_eq!(
+                &issue_counts(&session),
+                &cold_issues,
+                "a rerun must count every issue as the cold run did"
+            );
         }
         // The counters the CoW engine threads through the session must
         // never leak into the report (they differ between cold and warm
@@ -229,6 +251,7 @@ proptest! {
                 .expect("a cold run cannot fail"),
         );
         prop_assert_eq!(&fast_report, &slow_report);
+        prop_assert_eq!(issue_counts(&fast), issue_counts(&slow));
         // And the built-in cross-check mode agrees with a cycle-by-cycle
         // run of its shape: it stops when the sibling halts, if any.
         let shape = |req: RunRequest| {
@@ -253,6 +276,7 @@ proptest! {
             .execute(RunRequest::cold(BUDGET).cross_checked())
             .expect("checkpoint captured");
         prop_assert_eq!(&bytes(&report), &slow_report);
+        prop_assert_eq!(issue_counts(&checked), issue_counts(&slow));
     }
 
     /// Property 4: a CoW snapshot restores exactly what a byte-for-byte
