@@ -14,9 +14,8 @@
 //! | `aes_trace` | §6.2 — full single-run AES access-trace extraction |
 //! | `ablate_walk` | §4.1.2 — speculation-window size vs walk tuning |
 //! | `sec8_analyze` | static attack-plan analysis, validated in-simulator |
-//! | `perf_bench` | simulator perf trajectory — emits `BENCH_replay.json` |
 
-/// The workspace's one JSON module, re-exported for the perf harnesses.
+/// The workspace's one JSON module, re-exported for the repo benchmark, `perfbench`.
 pub use microscope_probe::json;
 
 /// Renders a latency series as a compact ASCII scatter summary: count per

@@ -806,3 +806,56 @@ fn honest_supervisor_demand_pages_untouched_memory() {
     assert_eq!(m.context(CTX0).reg(v), 0, "fresh page reads zero");
     assert_eq!(m.context(CTX0).stats().page_faults, 2);
 }
+
+#[test]
+fn checkpoint_copies_only_the_pages_written_after_it() {
+    // The CoW engine's O(dirty pages) contract, pinned by exact counts at
+    // two footprints 8x apart: capture copies nothing, and the first write
+    // after it copies the page table once and the written page once.
+    for pages in [64, 512] {
+        let mut phys = PhysMem::new();
+        let base = VAddr(0x10_0000);
+        let asp = setup_aspace(&mut phys, base, pages);
+        for i in 0..pages {
+            write_virt(&mut phys, asp, base.offset(i * PAGE_BYTES), i);
+        }
+        assert!(phys.resident_pages() as u64 >= pages);
+        let mut asm = Assembler::new();
+        asm.halt();
+        let mut m = MachineBuilder::new()
+            .phys(phys)
+            .context_in(asm.finish(), asp)
+            .build();
+        let copies = |m: &microscope_cpu::Machine| {
+            let phys = &m.hw().phys;
+            (phys.cow_copied_pages(), phys.table_copies())
+        };
+        let (cow, tables) = copies(&m);
+        let cp = m.checkpoint();
+        assert_eq!(copies(&m), (cow, tables), "capture at {pages} pages");
+        let page = base.offset(pages / 2 * PAGE_BYTES);
+        m.write_virt(CTX0, page, 1, 8);
+        assert_eq!(
+            copies(&m),
+            (cow + 1, tables + 1),
+            "first write at {pages} pages"
+        );
+        m.write_virt(CTX0, page, 2, 8);
+        assert_eq!(
+            copies(&m),
+            (cow + 1, tables + 1),
+            "second write at {pages} pages"
+        );
+        let before = m.checkpoint_stats();
+        m.restore(&cp);
+        let after = m.checkpoint_stats();
+        assert_eq!(
+            (
+                after.pages_cow - before.pages_cow,
+                after.restore_pages - before.restore_pages
+            ),
+            (1, 1),
+            "pages_cow and restore_pages of the restore at {pages} pages"
+        );
+    }
+}

@@ -46,12 +46,18 @@ for pin in fig10_replay:cde0bd64d931c34e aes_step:e57da434183d5c8c \
 done
 
 echo "== repo benchmark: pinned work counters (seed 1, traced) =="
-# Deterministic work per op: real steps, dispatched instructions and OS
-# replays. A host-speed change must leave them exactly as they are; a
-# change that moves one on purpose (fewer steps, a new model) re-pins it
-# in the same commit and says why. Fields: steps:dispatched:replays.
-for pin in fig10_replay:10993:10776:800 aes_step:9819.8:28907:111 \
-    sec8_plan:2952.9:7451.8:40; do
+# Deterministic work per op: real steps, dispatched instructions, OS
+# replays, CoW page copies and pages discarded by restores. A host-speed
+# change must leave them exactly as they are; a change that moves one on
+# purpose (fewer steps, a new model) re-pins it in the same commit and says
+# why. The page pins, with the exact CoW test in crates/cpu/tests/machine.rs,
+# keep checkpoint capture and restore O(dirty pages). The 10,993 real steps
+# per fig10 op (1,345,512 simulated cycles) pin the fast-forward warm rerun:
+# they are the deterministic stand-in for the 3x warm/cold wall-time floor
+# of the removed scripts/bench.sh.
+# Fields: steps:dispatched:replays:pages_cow:restore_pages.
+for pin in fig10_replay:10993:10776:800:16:20 aes_step:9819.8:28907:111:4:0 \
+    sec8_plan:2952.9:7451.8:40:20:23; do
     workload=${pin%%:*}
     want=${pin#*:}
     got=$(cargo run -q --release --manifest-path perfbench/Cargo.toml -- \
@@ -59,12 +65,14 @@ for pin in fig10_replay:10993:10776:800 aes_step:9819.8:28907:111 \
         awk '$1 == "cpu.steps_per_op" { s = $2 + 0 }
              $1 == "cpu.dispatched_per_op" { d = $2 + 0 }
              $1 == "os.replays_per_op" { r = $2 + 0 }
-             END { print s ":" d ":" r }')
+             $1 == "checkpoint.pages_cow_per_op" { c = $2 + 0 }
+             $1 == "checkpoint.restore_pages_per_op" { p = $2 + 0 }
+             END { print s ":" d ":" r ":" c ":" p }')
     if [ "$got" != "$want" ]; then
-        echo "error: $workload steps:dispatched:replays per op $got, pinned $want" >&2
+        echo "error: $workload steps:dispatched:replays:pages_cow:restore_pages per op $got, pinned $want" >&2
         exit 1
     fi
-    echo "$workload steps:dispatched:replays per op $got"
+    echo "$workload steps:dispatched:replays:pages_cow:restore_pages per op $got"
 done
 
 echo "== sweep smoke: ablate_walk --jobs 2 =="
@@ -95,39 +103,6 @@ rm -f "$ANALYZE_OUT"
 
 echo "== analyzer soundness property =="
 cargo test -q --release --test analyze_soundness
-
-echo "== perf bench smoke + BENCH_replay.json schema =="
-# Shrunken workloads of the perf-regression harness, written to a scratch
-# path so CI never dirties the committed baseline, then schema-validated.
-# A missing or malformed emit fails the build; the full-size run (and the
-# 3x replays/sec regression gate) is scripts/bench.sh.
-BENCH_TMP="${TMPDIR:-/tmp}/BENCH_replay.smoke.json"
-rm -f "$BENCH_TMP"
-cargo run -q --release -p microscope-bench --bin perf_bench -- --smoke --out "$BENCH_TMP"
-test -s "$BENCH_TMP" || { echo "perf_bench emitted nothing" >&2; exit 1; }
-cargo run -q --release -p microscope-bench --bin perf_bench -- --validate "$BENCH_TMP"
-
-echo "== checkpoint capture regression gate (3x vs committed baseline) =="
-# Capture throughput is footprint-independent (the whole point of the CoW
-# engine), so even the smoke run must land within 3x of the committed
-# full-mode baseline; a bigger gap means capture went O(footprint) again.
-extract_capture_rate() {
-    awk -F': ' '/"checkpoint_capture_per_sec"/ { gsub(/[ ,]/, "", $2); print $2 }' "$1"
-}
-committed=$(extract_capture_rate BENCH_replay.json)
-smoke=$(extract_capture_rate "$BENCH_TMP")
-test -n "$committed" || { echo "BENCH_replay.json lacks checkpoint_capture_per_sec" >&2; exit 1; }
-test -n "$smoke" || { echo "smoke emit lacks checkpoint_capture_per_sec" >&2; exit 1; }
-awk -v c="$committed" -v s="$smoke" 'BEGIN {
-    if (s * 3 < c) {
-        printf "error: smoke checkpoint_capture_per_sec %.0f is more than 3x below the committed %.0f\n", s, c
-        exit 1
-    }
-    printf "capture rate ok: smoke %.0f/s vs committed %.0f/s\n", s, c
-}' || exit 1
-rm -f "$BENCH_TMP"
-# The committed baseline at the repo root must stay parseable too.
-cargo run -q --release -p microscope-bench --bin perf_bench -- --validate BENCH_replay.json
 
 echo "== tracked figure: Rust lines in crates/ src/ examples/ tests/ =="
 find crates src examples tests -name '*.rs' -exec cat {} + | wc -l
