@@ -9,7 +9,7 @@
 //! the leak — scaling with the walk. Pass `--jobs N` to run the tunings
 //! on parallel sweep workers; stdout is identical for any worker count.
 
-use microscope_bench::{extract_jobs, parse_or_exit, print_table, shape_check};
+use microscope_bench::{extract_count, parse_or_exit, print_table, shape_check};
 use microscope_core::sweep::{SweepPoint, SweepSpec};
 use microscope_core::{RunRequest, SessionBuilder, SimConfig};
 use microscope_cpu::{Assembler, ContextId, Reg};
@@ -81,7 +81,7 @@ fn measure(sim: SimConfig, walk: WalkTuning) -> (u64, usize) {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = parse_or_exit(extract_jobs(&mut args));
+    let jobs = parse_or_exit(extract_count(&mut args, "--jobs"));
     println!("== §4.1.2 ablation: walk tuning vs speculation window ==");
     println!("victim: dependent pointer chase (1 line leaked per ~memory latency)\n");
     let grid = [

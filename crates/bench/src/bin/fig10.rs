@@ -11,7 +11,7 @@
 //! sweep's merged metric registry.
 
 use microscope_bench::{
-    extract_jobs, histogram, parse_or_exit, print_table, shape_check, summarize_latencies,
+    extract_count, histogram, parse_or_exit, print_table, shape_check, summarize_latencies,
     ExportFlags,
 };
 use microscope_channels::port_contention::{analyze, run_attack, PortContentionConfig};
@@ -21,14 +21,8 @@ use microscope_core::SimConfig;
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let export = parse_or_exit(ExportFlags::extract(&mut args));
-    let jobs = parse_or_exit(extract_jobs(&mut args));
-    let mut samples = 10_000u64;
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        if a == "--samples" {
-            samples = it.next().and_then(|v| v.parse().ok()).expect("--samples N");
-        }
-    }
+    let jobs = parse_or_exit(extract_count(&mut args, "--jobs"));
+    let samples: u64 = parse_or_exit(extract_count(&mut args, "--samples")).unwrap_or(10_000);
     let cfg = PortContentionConfig {
         samples,
         replays: samples / 2,

@@ -8,7 +8,7 @@
 //! replayed window touches hit in L1, everything else misses to memory.
 
 use microscope_bench::{
-    export_or_exit, extract_jobs, parse_or_exit, print_table, shape_check, ExportFlags,
+    export_or_exit, extract_count, parse_or_exit, print_table, shape_check, ExportFlags,
 };
 use microscope_cache::{CacheConfig, HierarchyConfig};
 use microscope_channels::aes_attack::{self, AesAttackConfig};
@@ -20,7 +20,7 @@ use microscope_probe::MetricSet;
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let export = parse_or_exit(ExportFlags::extract(&mut args));
-    let jobs = parse_or_exit(extract_jobs(&mut args));
+    let jobs = parse_or_exit(extract_count(&mut args, "--jobs"));
     // A small L1/L2 gives the table lines a natural lifetime across the
     // hierarchy (on the paper's loaded machine, system noise does this), so
     // the unprimed Replay-0 probe sees L1 hits, L2/L3 hits AND misses.

@@ -8,7 +8,7 @@
 //!   younger code; with `k` primed branches in flight the transmit replays
 //!   up to `k` times — bounded, because branches eventually resolve.
 
-use microscope_bench::{extract_jobs, parse_or_exit, print_table, shape_check};
+use microscope_bench::{extract_count, parse_or_exit, print_table, shape_check};
 use microscope_core::sweep::{SweepPoint, SweepSpec};
 use microscope_core::SimConfig;
 use microscope_cpu::{
@@ -126,7 +126,7 @@ fn mispredict_replays(k: usize) -> u64 {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = parse_or_exit(extract_jobs(&mut args));
+    let jobs = parse_or_exit(extract_count(&mut args, "--jobs"));
     println!("== §7: alternative replay handles ==\n");
     // The five experiments run as one sweep grid — `--jobs N` fans them
     // out; the grid-ordered results keep stdout byte-identical for any N.

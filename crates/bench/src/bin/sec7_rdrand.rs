@@ -7,14 +7,14 @@
 //! through. The lesson is that there should be such a fence, for security
 //! reasons." Both worlds are runnable here via a config bit.
 
-use microscope_bench::{extract_jobs, parse_or_exit, print_table, shape_check};
+use microscope_bench::{extract_count, parse_or_exit, print_table, shape_check};
 use microscope_core::sweep::{SweepPoint, SweepSpec};
 use microscope_core::SimConfig;
 use microscope_defenses::fences::rdrand_bias_successes;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = parse_or_exit(extract_jobs(&mut args));
+    let jobs = parse_or_exit(extract_count(&mut args, "--jobs"));
     let trials = 24;
     println!("== §7.2: biasing RDRAND via selective replay ==");
     println!("victim: handle load; r = RDRAND; transmit(table[(r&1)<<12]); commit r");

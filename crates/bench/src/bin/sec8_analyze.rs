@@ -22,7 +22,7 @@
 use microscope_analyze::{
     analyze, baseline_executions, validate_plan, AnalysisReport, AttackPlan, Handle, Transmitter,
 };
-use microscope_bench::{extract_flag, extract_jobs, parse_or_exit, print_table, shape_check};
+use microscope_bench::{extract_count, extract_flag, parse_or_exit, print_table, shape_check};
 use microscope_core::sweep::{SweepError, SweepPoint, SweepSpec};
 use microscope_core::{SessionBuilder, SimConfig};
 use microscope_cpu::{CoreConfig, Program};
@@ -330,7 +330,7 @@ fn run_subject(subject: &Subject, audit_defenses: bool) -> Result<Outcome, Sweep
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = parse_or_exit(extract_jobs(&mut args));
+    let jobs = parse_or_exit(extract_count(&mut args, "--jobs"));
     let audit_defenses = extract_flag(&mut args, "--audit-defenses");
 
     println!("== §8 static replay-handle & secret-taint analysis ==\n");

@@ -10,7 +10,7 @@
 //! table is identical for any worker count.
 
 use microscope_bench::{
-    export_or_exit, extract_jobs, parse_or_exit, print_table, shape_check, ExportFlags,
+    export_or_exit, extract_count, parse_or_exit, print_table, shape_check, ExportFlags,
 };
 use microscope_channels::taxonomy::{catalog, Measurement, Noise, Temporal};
 use microscope_core::sweep::{SweepPoint, SweepSpec};
@@ -20,19 +20,10 @@ use microscope_core::SimConfig;
 type RowRun = (fn(u32, u64) -> Measurement, u32);
 
 fn main() {
-    let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    let export = parse_or_exit(ExportFlags::extract(&mut raw));
-    let jobs = parse_or_exit(extract_jobs(&mut raw));
-    let mut args = raw.into_iter();
-    let mut trials = 30u32;
-    while let Some(a) = args.next() {
-        if a == "--trials" {
-            trials = args
-                .next()
-                .and_then(|v| v.parse().ok())
-                .expect("--trials N");
-        }
-    }
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let export = parse_or_exit(ExportFlags::extract(&mut args));
+    let jobs = parse_or_exit(extract_count(&mut args, "--jobs"));
+    let trials: u32 = parse_or_exit(extract_count(&mut args, "--trials")).unwrap_or(30);
     println!("== Table 1: side-channel taxonomy, measured ({trials} trials/row) ==\n");
     let rows_catalog = catalog();
     // Each taxonomy row is one sweep point; the payload carries the row's

@@ -3,14 +3,14 @@
 //! run as one sweep grid — pass `--jobs N` to fan them out; the table is
 //! identical for any worker count.
 
-use microscope_bench::{extract_jobs, parse_or_exit, print_table, shape_check};
+use microscope_bench::{extract_count, parse_or_exit, print_table, shape_check};
 use microscope_core::sweep::{SweepPoint, SweepSpec};
 use microscope_core::SimConfig;
 use microscope_defenses::{evaluators, DefenseOutcome};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = parse_or_exit(extract_jobs(&mut args));
+    let jobs = parse_or_exit(extract_count(&mut args, "--jobs"));
     println!("== §8: possible countermeasures, evaluated against the attack ==\n");
     let sweep = SweepSpec::new(
         "table-defenses",

@@ -219,18 +219,22 @@ pub fn extract_flag(args: &mut Vec<String>, flag: &str) -> bool {
     args.len() != before
 }
 
-/// Extracts `--jobs N` / `--jobs=N` (the sweep worker count). `None`
-/// means the flag was absent and the sweep default (available
-/// parallelism) applies.
-pub fn extract_jobs(args: &mut Vec<String>) -> Result<Option<usize>, ArgError> {
-    match extract_flag_value(args, "--jobs")? {
+/// Extracts a count flag (`--flag N` / `--flag=N`, N >= 1) such as
+/// `--jobs` (the sweep worker count), `--samples` or `--trials`. `None`
+/// means the flag was absent and the binary's default applies; a value
+/// that is not a whole number >= 1 is an [`ArgError::InvalidValue`].
+pub fn extract_count<T>(args: &mut Vec<String>, flag: &str) -> Result<Option<T>, ArgError>
+where
+    T: std::str::FromStr + PartialOrd + From<u8>,
+{
+    match extract_flag_value(args, flag)? {
         None => Ok(None),
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(Some(n)),
+        Some(v) => match v.parse::<T>() {
+            Ok(n) if n >= T::from(1) => Ok(Some(n)),
             _ => Err(ArgError::InvalidValue {
-                flag: "--jobs".into(),
+                flag: flag.into(),
                 value: v,
-                expected: "a worker count >= 1",
+                expected: "a whole number >= 1",
             }),
         },
     }
@@ -384,18 +388,40 @@ mod tests {
     }
 
     #[test]
-    fn jobs_flag_parses_and_validates() {
+    fn count_flags_parse_and_validate() {
         let mut a = args(&["--jobs", "4", "x"]);
-        assert_eq!(extract_jobs(&mut a), Ok(Some(4)));
+        assert_eq!(extract_count(&mut a, "--jobs"), Ok(Some(4usize)));
         assert_eq!(a, args(&["x"]));
-        let mut a = args(&["--jobs=2"]);
-        assert_eq!(extract_jobs(&mut a), Ok(Some(2)));
+        let mut a = args(&["--samples=500"]);
+        assert_eq!(extract_count(&mut a, "--samples"), Ok(Some(500u64)));
+        assert!(a.is_empty());
+        let mut a = args(&["--jobs", "2", "--trials=3"]);
+        assert_eq!(extract_count(&mut a, "--trials"), Ok(Some(3u32)));
+        assert_eq!(a, args(&["--jobs", "2"]));
         let mut a = args(&[]);
-        assert_eq!(extract_jobs(&mut a), Ok(None));
-        let mut a = args(&["--jobs", "0"]);
-        assert!(extract_jobs(&mut a).is_err());
-        let mut a = args(&["--jobs", "many"]);
-        let err = extract_jobs(&mut a).expect_err("non-numeric rejected");
-        assert!(err.to_string().contains("worker count"));
+        assert_eq!(extract_count::<usize>(&mut a, "--jobs"), Ok(None));
+        for bad in ["0", "x", "-3", "2.5"] {
+            let mut a = args(&["--samples", bad]);
+            assert_eq!(
+                extract_count::<u64>(&mut a, "--samples"),
+                Err(ArgError::InvalidValue {
+                    flag: "--samples".into(),
+                    value: bad.into(),
+                    expected: "a whole number >= 1",
+                })
+            );
+        }
+        let mut a = args(&["--trials"]);
+        assert_eq!(
+            extract_count::<u32>(&mut a, "--trials"),
+            Err(ArgError::MissingValue {
+                flag: "--trials".into()
+            })
+        );
+        let mut a = args(&["--trials", "--jobs", "2"]);
+        assert!(extract_count::<u32>(&mut a, "--trials").is_err());
+        let err = extract_count::<usize>(&mut args(&["--jobs", "many"]), "--jobs")
+            .expect_err("non-numeric rejected");
+        assert!(err.to_string().contains("--jobs"));
     }
 }

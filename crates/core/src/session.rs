@@ -105,8 +105,9 @@ impl SessionBuilder {
         &mut self.sim
     }
 
-    /// Overrides the cross-layer probe configuration. Without this, the
-    /// probe is enabled iff `CoreConfig::trace` is set.
+    /// Sets the cross-layer probe configuration. Without this, the probe
+    /// is disabled; [`RecorderConfig::default`] records up to 200,000
+    /// events.
     pub fn probe(&mut self, cfg: RecorderConfig) -> &mut Self {
         self.probe = Some(cfg);
         self
@@ -127,10 +128,7 @@ impl SessionBuilder {
     pub fn build(self) -> Result<AttackSession, BuildError> {
         let (victim_prog, victim_asp) = self.victim.ok_or(BuildError::NoVictim)?;
         let shared = self.module.shared();
-        let probe = Probe::new(self.probe.unwrap_or(RecorderConfig {
-            enabled: self.sim.core.trace,
-            capacity: 200_000,
-        }));
+        let probe = Probe::new(self.probe.unwrap_or_else(RecorderConfig::disabled));
         let mut mb = MachineBuilder::new()
             .core_config(self.sim.core)
             .hierarchy(self.sim.hierarchy)
@@ -183,7 +181,6 @@ impl SessionBuilder {
             monitor_buf,
             probe,
             armed_checkpoint: None,
-            checkpoint_mid_run: false,
         })
     }
 }
@@ -247,8 +244,8 @@ impl RunRequest {
     /// and fails with [`RunError::CrossCheckDiverged`] when the reports
     /// differ (a simulator soundness bug, never a workload property).
     /// Implies [`RunRequest::from_checkpoint`]; the stop condition follows
-    /// the session (monitor-done when a monitor is installed, cycle budget
-    /// otherwise).
+    /// the session (monitor-done when a monitor is installed, every context
+    /// halted otherwise, and the cycle budget either way).
     pub fn cross_checked(mut self) -> Self {
         self.cross_checked = true;
         self
@@ -282,18 +279,14 @@ pub struct AttackSession {
     monitor_ctx: Option<ContextId>,
     monitor_buf: Option<MonitorBuffer>,
     probe: Probe,
-    /// Snapshot taken the moment the replay handle went live — at the top
-    /// of the first run for build-time arming (so any host-side setup
-    /// between `build()` and `execute()`, like step interrupts or seeded
-    /// memory, is included), or mid-run at the arming interrupt for
-    /// deferred arming. A `.from_checkpoint()` request rewinds here instead
-    /// of re-simulating the victim from reset.
+    /// Snapshot taken the moment the replay handle went live, by the first
+    /// cold run's stop predicate: at its first poll for build-time arming
+    /// (so any host-side setup between `build()` and `execute()`, like step
+    /// interrupts or seeded memory, is included), or at the poll after the
+    /// arming interrupt for deferred arming. Either way it holds the run's
+    /// `SessionStart` event. A `.from_checkpoint()` request rewinds here
+    /// instead of re-simulating the victim from reset.
     armed_checkpoint: Option<MachineCheckpoint>,
-    /// Whether the checkpoint was captured mid-run, i.e. *after* this run's
-    /// `SessionStart` event was emitted. A replay re-emits `SessionStart`
-    /// only when it was not yet in the captured event stream, keeping cold
-    /// and replayed traces byte-identical.
-    checkpoint_mid_run: bool,
 }
 
 impl AttackSession {
@@ -329,11 +322,11 @@ impl AttackSession {
     /// Executes one [`RunRequest`] and produces the report.
     ///
     /// A cold request's first execution captures the armed-state
-    /// checkpoint — up front when the module armed at build time, or
-    /// mid-run at the arming interrupt when arming was deferred — enabling
-    /// subsequent `.from_checkpoint()` requests, which rewind to it and
-    /// re-simulate only the post-arm window (what makes MicroScope-style
-    /// replay O(window) instead of O(program)).
+    /// checkpoint — before its first step when the module armed at build
+    /// time, or right after the arming interrupt when arming was deferred —
+    /// enabling subsequent `.from_checkpoint()` requests, which rewind to
+    /// it and re-simulate only the post-arm window (what makes
+    /// MicroScope-style replay O(window) instead of O(program)).
     ///
     /// # Errors
     ///
@@ -376,11 +369,13 @@ impl AttackSession {
     }
 
     /// The one run path. Rewinds to the armed checkpoint first when
-    /// `from_checkpoint`; otherwise starts from the current state and
-    /// captures the checkpoint once the module is armed — up front for
-    /// build-time arming, or by pausing at the deferred-arm interrupt and
-    /// continuing with the remaining budget (the step sequence is that of
-    /// an uninterrupted run). Stops when `monitor` halts (reported as
+    /// `from_checkpoint`; otherwise starts from the current state, emits
+    /// `SessionStart`, and captures the checkpoint at the first poll that
+    /// sees the module armed — before the first step for build-time arming,
+    /// or right after the deferred-arm interrupt — inside the run's single
+    /// `run_until` call, so the step sequence is that of an uninterrupted
+    /// run. Every checkpoint therefore already holds `SessionStart`, and a
+    /// replay never emits it again. Stops when `monitor` halts (reported as
     /// [`RunExit::AllHalted`] even while the victim is still captive under
     /// replay) or, without one, when every context halts. `max_cycles`
     /// counts from session start either way, so a replay observes the same
@@ -405,29 +400,23 @@ impl AttackSession {
             }
             max_cycles.saturating_sub(cp.cycle())
         } else {
-            self.capture_if_armed(false);
-            max_cycles
-        };
-        // A checkpoint captured mid-run already holds this event.
-        if !(from_checkpoint && self.checkpoint_mid_run) {
             self.probe.emit(
                 None,
                 EventKind::SessionStart {
                     contexts: self.machine.context_count() as u32,
                 },
             );
-        }
-        let end = self.machine.cycle().saturating_add(budget);
-        let done =
-            move |m: &Machine| monitor.map_or_else(|| m.all_halted(), |c| m.context(c).halted());
-        if self.armed_checkpoint.is_none() {
-            let shared = self.shared.clone();
-            self.machine
-                .run_until(budget, |m| shared.borrow().armed || done(m));
-            self.capture_if_armed(true);
-        }
-        let rest = end.saturating_sub(self.machine.cycle());
-        let exit = if self.machine.run_until(rest, done) {
+            max_cycles
+        };
+        let armed_checkpoint = &mut self.armed_checkpoint;
+        let shared = &self.shared;
+        let halted = self.machine.run_until(budget, |m| {
+            if armed_checkpoint.is_none() && shared.borrow().armed {
+                *armed_checkpoint = Some(m.checkpoint());
+            }
+            monitor.map_or_else(|| m.all_halted(), |c| m.context(c).halted())
+        });
+        let exit = if halted {
             RunExit::AllHalted
         } else {
             RunExit::MaxCycles
@@ -441,15 +430,6 @@ impl AttackSession {
             },
         );
         Ok(self.report(exit))
-    }
-
-    /// Captures the armed checkpoint if the module is armed and no
-    /// snapshot exists yet.
-    fn capture_if_armed(&mut self, mid_run: bool) {
-        if self.armed_checkpoint.is_none() && self.shared.borrow().armed {
-            self.armed_checkpoint = Some(self.machine.checkpoint());
-            self.checkpoint_mid_run = mid_run;
-        }
     }
 
     /// Assembles a report from the current machine state.

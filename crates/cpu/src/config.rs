@@ -67,8 +67,6 @@ pub struct CoreConfig {
     /// replayer that observed a speculative draw release the victim fast
     /// enough for the *same* value to commit — the §7.2 biasing mechanism.
     pub rdrand_refill_log2: u32,
-    /// Whether to record a detailed event trace.
-    pub trace: bool,
     /// Idle-cycle fast-forward: [`crate::Machine::run`] jumps the clock to
     /// the next cycle in which anything can happen — the earliest
     /// completion on a context's calendar, the end of a fetch stall, or
@@ -100,7 +98,6 @@ impl Default for CoreConfig {
             invisible_speculation: false,
             rdrand_seed: 0x5ca1ab1e,
             rdrand_refill_log2: 14,
-            trace: false,
             fast_forward: true,
         }
     }

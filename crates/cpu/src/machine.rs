@@ -190,7 +190,7 @@ impl MachineBuilder {
     }
 
     /// Shares an existing cross-layer probe with the machine. Without this,
-    /// the machine creates a private probe, enabled iff `CoreConfig::trace`.
+    /// the machine creates a private, disabled probe.
     pub fn probe(mut self, probe: Probe) -> Self {
         self.probe = Some(probe);
         self
@@ -207,12 +207,9 @@ impl MachineBuilder {
             "machine needs at least one context"
         );
         let mut phys = self.phys.unwrap_or_default();
-        let probe = self.probe.unwrap_or_else(|| {
-            Probe::new(RecorderConfig {
-                enabled: self.core.trace,
-                capacity: 200_000,
-            })
-        });
+        let probe = self
+            .probe
+            .unwrap_or_else(|| Probe::new(RecorderConfig::disabled()));
         let contexts: Vec<Context> = self
             .contexts
             .into_iter()
@@ -475,15 +472,10 @@ impl Machine {
 
     /// Runs until every context halts or `max_cycles` elapse.
     pub fn run(&mut self, max_cycles: u64) -> RunExit {
-        let end = self.cycle.saturating_add(max_cycles);
-        loop {
-            if self.all_halted() {
-                return RunExit::AllHalted;
-            }
-            if self.cycle >= end {
-                return RunExit::MaxCycles;
-            }
-            self.advance(end);
+        if self.run_until(max_cycles, Machine::all_halted) {
+            RunExit::AllHalted
+        } else {
+            RunExit::MaxCycles
         }
     }
 
@@ -495,7 +487,10 @@ impl Machine {
     /// steps taken. With [`CoreConfig::fast_forward`] enabled, the cycles
     /// fast-forward jumps over change no machine state and are not
     /// evaluated: exact for any predicate over machine *state*, but a
-    /// predicate over the bare cycle counter may be observed late.
+    /// predicate over the bare cycle counter may be observed late. The
+    /// `max_cycles` stop itself is exact either way: fast-forward never
+    /// jumps past it, so a run that neither halts nor fires the predicate
+    /// ends with [`Machine::cycle`] advanced by exactly `max_cycles`.
     pub fn run_until(&mut self, max_cycles: u64, mut pred: impl FnMut(&Machine) -> bool) -> bool {
         let end = self.cycle.saturating_add(max_cycles);
         loop {

@@ -8,7 +8,7 @@ use microscope_cpu::{
     Supervisor, SupervisorAction,
 };
 use microscope_mem::{AddressSpace, PhysMem, PteFlags, VAddr, PAGE_BYTES};
-use microscope_probe::EventKind;
+use microscope_probe::{EventKind, Probe, RecorderConfig};
 
 const CTX0: ContextId = ContextId(0);
 
@@ -403,12 +403,8 @@ fn smt_issue_is_oldest_first_by_global_seq() {
         asm.halt();
         asm.finish()
     };
-    let cfg = CoreConfig {
-        trace: true,
-        ..CoreConfig::default()
-    };
     let mut m = MachineBuilder::new()
-        .core_config(cfg)
+        .probe(Probe::new(RecorderConfig::default()))
         .context(program())
         .context(program())
         .build();

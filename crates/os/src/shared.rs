@@ -51,10 +51,11 @@ pub struct ModuleShared {
     pub steps: Vec<u64>,
     /// Whether each recipe has disarmed itself.
     pub finished: Vec<bool>,
-    /// Whether [`crate::MicroScopeModule::arm`] has run. Host-side tooling
-    /// uses this to detect the arming point of a *deferred* arm (one
-    /// triggered mid-run by a stepping interrupt) — e.g. to capture a
-    /// machine checkpoint exactly when the replay handle goes live.
+    /// Whether [`crate::MicroScopeModule::arm`] has run. The attack
+    /// session's run predicate polls it before every real step and
+    /// captures its machine checkpoint at the first poll that sees it set:
+    /// before the first step when the module armed at build time, or right
+    /// after the stepping interrupt that performs a *deferred* arm.
     pub armed: bool,
 }
 

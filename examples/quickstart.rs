@@ -5,11 +5,11 @@
 //! cargo run --example quickstart
 //! ```
 
-use microscope::cpu::{ContextId, CoreConfig};
+use microscope::cpu::ContextId;
 use microscope::enclave::EnclaveRegion;
 use microscope::mem::VAddr;
 use microscope::prelude::*;
-use microscope::probe::EventKind;
+use microscope::probe::{EventKind, RecorderConfig};
 use microscope::victims::single_secret;
 
 fn main() {
@@ -19,10 +19,7 @@ fn main() {
     //    SGX-style enclave, so the OS sees faults at page granularity only.
     // ------------------------------------------------------------------
     let mut b = SessionBuilder::new();
-    b.sim(SimConfig::new().with_core(CoreConfig {
-        trace: true,
-        ..CoreConfig::default()
-    }));
+    b.probe(RecorderConfig::default());
     let aspace = b.new_aspace(1);
     let secrets = single_secret::secrets_with_subnormal(16, 5);
     let (prog, layout) =

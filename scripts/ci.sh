@@ -80,6 +80,24 @@ echo "== sweep smoke: ablate_walk --jobs 2 =="
 # the shape checks end-to-end in well under a second.
 cargo run -q --release -p microscope-bench --bin ablate_walk -- --jobs 2
 
+echo "== examples: pinned stdout =="
+# Every example at its default arguments, its stdout cksum pinned: the
+# quickstart Figure-3 excerpt, for one, is empty if the session's probe
+# stops recording. A deliberate change to an example's output re-pins it
+# in the same commit and says why. Fields: example:cksum:bytes.
+for pin in quickstart:216888620:807 aes_attack:4088800818:503 \
+    defense_matrix:3406040050:1462 modexp_attack:1026191131:316 \
+    port_contention:3989546493:381; do
+    example=${pin%%:*}
+    want=$(echo "${pin#*:}" | tr : ' ')
+    got=$(cargo run -q --release --example "$example" | cksum)
+    if [ "$got" != "$want" ]; then
+        echo "error: example $example stdout cksum $got, pinned $want" >&2
+        exit 1
+    fi
+    echo "example $example stdout cksum $got"
+done
+
 echo "== analyzer smoke: sec8_analyze --audit-defenses, pinned stdout =="
 # Static plans for all 8 victims, simulator confirmation for 4, and the
 # fence audit (zero open windows + no replay amplification) — the

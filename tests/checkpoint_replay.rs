@@ -23,10 +23,14 @@
 //!    byte-for-byte deep copy taken at capture time holds.
 //! 5. **Fast-forward's step count is pinned** — the real steps a small
 //!    Figure-10 session takes are an exact witness of the wake rule.
+//! 6. **Capture works at any cycle** — stopping a run at an arbitrary
+//!    cycle k (exactly k, fast-forward on or off), checkpointing, and
+//!    running on — live or after a restore — ends byte-identical to the
+//!    uninterrupted run, issue counts included.
 
 use microscope::channels::port_contention::{self, PortContentionConfig};
 use microscope::core::{AttackReport, AttackSession, RunRequest, SessionBuilder};
-use microscope::cpu::{AluOp, Assembler, Cond, ContextId, CoreConfig, Reg};
+use microscope::cpu::{AluOp, Assembler, Cond, ContextId, CoreConfig, Machine, Reg, RunExit};
 use microscope::mem::{PAddr, PhysMem, PteFlags, VAddr, PAGE_BYTES};
 use microscope::os::WalkTuning;
 use microscope::probe::RecorderConfig;
@@ -82,7 +86,7 @@ fn build(k: &Knobs) -> AttackSession {
 
 /// [`build`], with arming deferred until the victim has retired `defer`
 /// instructions: the session then captures its checkpoint mid-run, at the
-/// arming interrupt, instead of at the top of the first run.
+/// arming interrupt, instead of at the first poll of the first run.
 fn build_deferred(k: &Knobs, defer: Option<u64>) -> AttackSession {
     let mut b = SessionBuilder::new();
     if let Some(retires) = defer {
@@ -328,6 +332,54 @@ proptest! {
         // Restore cost is bounded by what was actually dirtied, never the
         // resident footprint.
         prop_assert!(dirtied <= dirty_writes.len() as u64 + 4);
+    }
+}
+
+/// Runs `session`'s machine until every context halts or the cycle count
+/// reaches [`BUDGET`], then reports.
+fn run_to_end(session: &mut AttackSession) -> String {
+    let left = BUDGET - session.machine().cycle();
+    let exit = if session.machine_mut().run_until(left, Machine::all_halted) {
+        RunExit::AllHalted
+    } else {
+        RunExit::MaxCycles
+    };
+    bytes(&session.report(exit))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Property 6: a run stopped at cycle k = `pct`% of the uninterrupted
+    /// run's length, checkpointed there and run on, ends exactly as the
+    /// uninterrupted run does; so does a second run on after restoring the
+    /// checkpoint. Covers both the cycle-by-cycle and the fast-forwarded
+    /// loop, so the budget stop must be exact under fast-forward too.
+    #[test]
+    fn capture_at_any_cycle_resumes_like_a_continuous_run(
+        k in arb_knobs(),
+        pct in 0u64..101,
+    ) {
+        for fast_forward in [false, true] {
+            let mut whole = build(&k);
+            whole.machine_mut().set_fast_forward(fast_forward);
+            let want = run_to_end(&mut whole);
+            let want_issues = issue_counts(&whole);
+            let cut = whole.machine().cycle() * pct / 100;
+
+            let mut split = build(&k);
+            split.machine_mut().set_fast_forward(fast_forward);
+            split.machine_mut().run_until(cut, |_| false);
+            // The uninterrupted run first halts at its last cycle, so this
+            // one cannot halt before `cut`.
+            prop_assert_eq!(split.machine().cycle(), cut, "fast-forward {}", fast_forward);
+            let cp = split.machine().checkpoint();
+            prop_assert_eq!(&run_to_end(&mut split), &want, "live, fast-forward {}", fast_forward);
+            prop_assert_eq!(&issue_counts(&split), &want_issues);
+            prop_assert!(split.machine_mut().restore(&cp));
+            prop_assert_eq!(&run_to_end(&mut split), &want, "restored, fast-forward {}", fast_forward);
+            prop_assert_eq!(&issue_counts(&split), &want_issues);
+        }
     }
 }
 

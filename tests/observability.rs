@@ -1,11 +1,11 @@
 //! Cross-layer observability: the probe's event stream, the Fig.-3 phase
 //! reconstruction, the exporters, and the per-replay analytics.
 
-use microscope::core::{AttackReport, RunRequest, SessionBuilder, SimConfig};
-use microscope::cpu::{ContextId, CoreConfig};
+use microscope::core::{AttackReport, RunRequest, SessionBuilder};
+use microscope::cpu::ContextId;
 use microscope::mem::VAddr;
 use microscope::probe::timeline::{reconstruct, Phase};
-use microscope::probe::{export, json, EventKind, Layer};
+use microscope::probe::{export, json, EventKind, Layer, RecorderConfig};
 use microscope::victims::single_secret;
 use proptest::prelude::*;
 
@@ -13,10 +13,7 @@ use proptest::prelude::*;
 /// every replay so observations (denoising samples) accumulate.
 fn traced_attack(replays: u64) -> AttackReport {
     let mut b = SessionBuilder::new();
-    b.sim(SimConfig::new().with_core(CoreConfig {
-        trace: true,
-        ..CoreConfig::default()
-    }));
+    b.probe(RecorderConfig::default());
     let aspace = b.new_aspace(1);
     let secrets: Vec<f64> = (0..8).map(|i| i as f64 + 1.0).collect();
     let (prog, layout) =

@@ -1,18 +1,15 @@
 //! Figure-3 timeline structure and the enclave information boundary.
 
-use microscope::core::{RunRequest, SessionBuilder, SimConfig};
-use microscope::cpu::{ContextId, CoreConfig};
+use microscope::core::{RunRequest, SessionBuilder};
+use microscope::cpu::ContextId;
 use microscope::enclave::EnclaveRegion;
 use microscope::mem::VAddr;
-use microscope::probe::EventKind;
+use microscope::probe::{EventKind, RecorderConfig};
 use microscope::victims::single_secret;
 
 fn attacked_session(replays: u64, enclave: bool) -> microscope::core::AttackSession {
     let mut b = SessionBuilder::new();
-    b.sim(SimConfig::new().with_core(CoreConfig {
-        trace: true,
-        ..CoreConfig::default()
-    }));
+    b.probe(RecorderConfig::default());
     let aspace = b.new_aspace(1);
     let secrets: Vec<f64> = (0..8).map(|i| i as f64 + 1.0).collect();
     let (prog, layout) =
