@@ -4,10 +4,9 @@
 use crate::cfg::Cfg;
 use crate::taint::{self, TaintResult};
 use microscope_core::SimConfig;
-use microscope_cpu::{FpOp, Inst, Program};
+use microscope_cpu::{FpOp, Inst, Program, Reg};
 use microscope_mem::{AddressSpace, PhysMem, VAddr};
 use microscope_victims::SecretMap;
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
@@ -99,14 +98,17 @@ pub struct AttackPlan {
     /// Fetch distance from handle to transmitter (must fit in the ROB).
     pub distance: usize,
     /// Whether the transmitter's operands are free of any register
-    /// dataflow from the handle's result — or from any same-page access
-    /// at/after the handle, since arming clears the Present bit on the
-    /// whole page. A faulted access never forwards its value, so a
+    /// dataflow from the handle's result — or from any const-address load
+    /// of the same page that the handle reaches short of a serializing
+    /// instruction, at any distance, since arming clears the Present bit
+    /// on the whole page. A faulted access never forwards its value, so a
     /// dependent transmitter cannot issue inside the very window the
     /// handle opens — independent plans are the ones worth replaying
-    /// (the paper's `rk` loads vs. `Td` lookups split). Register
-    /// dataflow only; dependence carried through memory is not tracked,
-    /// so this is a prioritization hint, not a guarantee.
+    /// (the paper's `rk` loads vs. `Td` lookups split). [`analyze`]
+    /// decides it with one AND of the transmitter's source labels and
+    /// the handle's seed mask, both from passes it runs once per call.
+    /// Register dataflow only; dependence carried through memory is not
+    /// tracked, so this is a prioritization hint, not a guarantee.
     pub handle_independent: bool,
 }
 
@@ -219,32 +221,29 @@ pub fn analyze(
         .iter()
         .map(|i| i.is_serializing(sim.core.rdrand_is_fenced))
         .collect();
-    // Every memory access whose address resolves statically, in pc order.
-    let const_mem: Vec<(usize, VAddr)> = program
-        .iter()
-        .enumerate()
-        .filter_map(|(pc, inst)| {
-            let (base, offset, _) = inst.memory_ref()?;
-            Some((pc, taint.before(pc)?.resolve_addr(base, offset)?))
-        })
-        .collect();
-    let mut bufs = HandleBuffers::new(program.len(), cfg.blocks().len());
+    let labels = SeedLabels::new(program, &taint, &handles);
+    let reach = reachable_seeds(program, &serializing, &labels);
+    let src_labels = labelled_dependence(program, &cfg, &labels);
+    let w = labels.words;
+    let mut window = Window::new(program.len());
+    let mut seeds = vec![0u64; w];
     let mut plans = Vec::new();
     let mut closed = 0u64;
     for h in &handles {
-        window_distances(program, h, &serializing, &mut bufs);
-        seed_pcs(h, &const_mem, &mut bufs);
-        handle_dependent_pcs(program, &cfg, &mut bufs);
+        window.distances(program, h, &serializing, rob.saturating_sub(1));
+        labels.seed_mask(h, &reach, &mut seeds);
         for t in &transmitters {
-            match bufs.dist[t.pc] {
-                Some(d) if d <= rob.saturating_sub(1) => plans.push(AttackPlan {
-                    handle: *h,
-                    transmitter: t.clone(),
-                    distance: d,
-                    handle_independent: !bufs.dependent[t.pc],
-                }),
-                _ => closed += 1,
-            }
+            let Some(d) = window.dist[t.pc] else {
+                closed += 1;
+                continue;
+            };
+            let srcs = &src_labels[t.pc * w..(t.pc + 1) * w];
+            plans.push(AttackPlan {
+                handle: *h,
+                transmitter: t.clone(),
+                distance: d,
+                handle_independent: srcs.iter().zip(&seeds).all(|(a, b)| a & b == 0),
+            });
         }
     }
     // Handles and transmitters are both unique per pc and in pc order.
@@ -335,113 +334,203 @@ fn classify_transmitters(program: &Program, cfg: &Cfg, taint: &TaintResult) -> V
     out
 }
 
-/// Per-handle work buffers, allocated once per [`analyze`] call and
-/// reused for every handle.
-struct HandleBuffers {
-    /// [`window_distances`]' result.
-    dist: Vec<Option<usize>>,
-    /// [`window_distances`]' BFS queue of `(pc, distance)`.
-    queue: VecDeque<(usize, usize)>,
-    /// [`seed_pcs`]' result, as a per-pc mask.
-    seed: Vec<bool>,
-    /// [`handle_dependent_pcs`]' result.
-    dependent: Vec<bool>,
-    /// [`handle_dependent_pcs`]' bitmask of handle-dependent registers at
-    /// each block entry (`Reg::COUNT` is 32, comfortably within u64).
-    block_in: Vec<Option<u64>>,
-    /// [`handle_dependent_pcs`]' worklist of blocks.
-    work: Vec<usize>,
+/// The seed labels of one [`analyze`] call: one bit for every pc whose
+/// own result can seed a handle's dependence. Those are the
+/// register-writing const-address accesses (the loads an armed page makes
+/// fault alongside the handle) and the other register-writing handles (a
+/// TSX handle's `xbegin`). A pc that writes no register seeds nothing and
+/// gets no label. The const-address loads come first, ordered by page, so
+/// each page's loads form one contiguous run of labels.
+struct SeedLabels {
+    /// `u64` words per label bitset.
+    words: usize,
+    /// The label of each pc, if it has one.
+    of_pc: Vec<Option<usize>>,
+    /// The page number of each const-address load label, in label order.
+    load_pages: Vec<u64>,
 }
 
-impl HandleBuffers {
-    fn new(n: usize, nb: usize) -> HandleBuffers {
-        HandleBuffers {
-            dist: vec![None; n],
-            queue: VecDeque::new(),
-            seed: vec![false; n],
-            dependent: vec![false; n],
-            block_in: vec![None; nb],
-            work: Vec::new(),
+impl SeedLabels {
+    fn new(program: &Program, taint: &TaintResult, handles: &[Handle]) -> SeedLabels {
+        let mut loads: Vec<(u64, usize)> = program
+            .iter()
+            .enumerate()
+            .filter_map(|(pc, inst)| {
+                let (base, offset, _) = inst.memory_ref()?;
+                inst.dst()?;
+                Some((taint.before(pc)?.resolve_addr(base, offset)?.vpn(), pc))
+            })
+            .collect();
+        loads.sort_unstable();
+        let mut of_pc = vec![None; program.len()];
+        for (label, &(_, pc)) in loads.iter().enumerate() {
+            of_pc[pc] = Some(label);
         }
-    }
-}
-
-/// Marks in `bufs.seed` the pcs that fault alongside the handle while its
-/// page is armed: the handle itself and, for a page-fault handle, every
-/// const-resolved access to the same page that `bufs.dist` reaches —
-/// at *any* fetch distance short of a serializing instruction, not only
-/// within the ROB. `const_mem` lists the statically resolved memory
-/// accesses as `(pc, vaddr)`. Arming clears the Present bit on the whole
-/// *page*, so those accesses never forward a value inside the handle's
-/// windows either. Same-page accesses *older* than the handle are
-/// excluded: the module's stepwise replay (handle/pivot alternation) has
-/// already serviced them by the time the planned handle faults — the
-/// paper's per-round `rk`-access walk through AES. The seeds decide
-/// [`AttackPlan::handle_independent`].
-fn seed_pcs(handle: &Handle, const_mem: &[(usize, VAddr)], bufs: &mut HandleBuffers) {
-    bufs.seed.fill(false);
-    bufs.seed[handle.pc] = true;
-    let HandleKind::PageFault { vaddr, .. } = handle.kind else {
-        return;
-    };
-    for &(pc, a) in const_mem {
-        if bufs.dist[pc].is_some() && a.same_page(vaddr) {
-            bufs.seed[pc] = true;
-        }
-    }
-}
-
-/// Forward register-dependence closure from the seed instructions'
-/// destinations (`bufs.seed`): `bufs.dependent[pc]` becomes true when the
-/// instruction at `pc` reads a register whose value may derive from a
-/// seed's result along some path. Worklist fixpoint over the CFG with
-/// may-union at joins and strong kills on overwrite within a block;
-/// memory-carried dependence is not tracked (see
-/// [`AttackPlan::handle_independent`]).
-fn handle_dependent_pcs(program: &Program, cfg: &Cfg, bufs: &mut HandleBuffers) {
-    let HandleBuffers {
-        seed,
-        dependent,
-        block_in,
-        work,
-        ..
-    } = bufs;
-    block_in.fill(None);
-    block_in[0] = Some(0);
-    dependent.fill(false);
-    work.push(0);
-    while let Some(b) = work.pop() {
-        let Some(mut mask) = block_in[b] else {
-            continue;
-        };
-        for pc in cfg.blocks()[b].pcs() {
-            let inst = program.fetch(pc).expect("pc in range");
-            let from_srcs = inst
-                .sources()
-                .iter()
-                .any(|r| mask & (1u64 << r.index()) != 0);
-            if from_srcs {
-                dependent[pc] = true;
+        let mut count = loads.len();
+        for h in handles {
+            if of_pc[h.pc].is_none() && program.fetch(h.pc).and_then(|i| i.dst()).is_some() {
+                of_pc[h.pc] = Some(count);
+                count += 1;
             }
-            if let Some(d) = inst.dst() {
-                if seed[pc] || from_srcs {
-                    mask |= 1u64 << d.index();
-                } else {
-                    mask &= !(1u64 << d.index());
+        }
+        SeedLabels {
+            words: count.div_ceil(64),
+            of_pc,
+            load_pages: loads.into_iter().map(|(vpn, _)| vpn).collect(),
+        }
+    }
+
+    /// The label of `pc` if it is a const-address load.
+    fn load_label(&self, pc: usize) -> Option<usize> {
+        self.of_pc[pc].filter(|&l| l < self.load_pages.len())
+    }
+
+    /// Writes into `mask` the labels of the pcs that fault alongside
+    /// `handle` while its page is armed: the handle itself and, for a
+    /// page-fault handle, every const-address load of the same page that
+    /// its fall-through reaches (`reach`, from [`reachable_seeds`]) — at
+    /// *any* fetch distance short of a serializing instruction, not only
+    /// within the ROB. Arming clears the Present bit on the whole *page*,
+    /// so those accesses never forward a value inside the handle's windows
+    /// either. Same-page accesses *older* than the handle are excluded:
+    /// the module's stepwise replay (handle/pivot alternation) has already
+    /// serviced them by the time the planned handle faults — the paper's
+    /// per-round `rk`-access walk through AES. The seeds decide
+    /// [`AttackPlan::handle_independent`].
+    fn seed_mask(&self, handle: &Handle, reach: &[u64], mask: &mut [u64]) {
+        mask.fill(0);
+        let w = self.words;
+        if let HandleKind::PageFault { vaddr, .. } = handle.kind {
+            let lo = self.load_pages.partition_point(|&v| v < vaddr.vpn());
+            let hi = self.load_pages.partition_point(|&v| v <= vaddr.vpn());
+            if let Some(row) = reach.get((handle.pc + 1) * w..(handle.pc + 2) * w) {
+                // Word `i` holds labels `64 * i ..`; keep those in `lo..hi`.
+                for i in lo / 64..hi.div_ceil(64) {
+                    let below = |end: usize| match end.saturating_sub(64 * i) {
+                        k if k >= 64 => u64::MAX,
+                        k => (1u64 << k) - 1,
+                    };
+                    mask[i] = row[i] & below(hi) & !below(lo);
                 }
             }
         }
-        for &s in &cfg.blocks()[b].succs {
-            if s == cfg.exit() {
+        if let Some(l) = self.of_pc[handle.pc] {
+            mask[l / 64] |= 1 << (l % 64);
+        }
+    }
+}
+
+/// For every pc, the const-address loads reachable from it along fetch
+/// successors without entering a serializing instruction
+/// (`serializing[pc]`), `pc` itself included: one row of `labels.words`
+/// words per pc, indexed by seed label. A serializing pc's row stays
+/// empty. Rows only grow, so sweeping pcs last to first until nothing
+/// changes settles forward edges in one sweep and needs one more per loop
+/// level.
+fn reachable_seeds(program: &Program, serializing: &[bool], labels: &SeedLabels) -> Vec<u64> {
+    let (n, w) = (program.len(), labels.words);
+    let mut reach = vec![0u64; n * w];
+    let mut row = vec![0u64; w];
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for pc in (0..n).rev() {
+            let Some(inst) = program.fetch(pc).filter(|_| !serializing[pc]) else {
                 continue;
+            };
+            row.copy_from_slice(&reach[pc * w..(pc + 1) * w]);
+            if let Some(l) = labels.load_label(pc) {
+                row[l / 64] |= 1 << (l % 64);
             }
-            let next = block_in[s].unwrap_or(0) | mask;
-            if block_in[s] != Some(next) {
-                block_in[s] = Some(next);
-                work.push(s);
+            let succs = [
+                inst.falls_through().then_some(pc + 1),
+                inst.control_target(),
+            ];
+            for s in succs.into_iter().flatten().filter(|&s| s < n) {
+                for (a, &x) in row.iter_mut().zip(&reach[s * w..(s + 1) * w]) {
+                    *a |= x;
+                }
+            }
+            let cur = &mut reach[pc * w..(pc + 1) * w];
+            if *cur != row[..] {
+                cur.copy_from_slice(&row);
+                changed = true;
             }
         }
     }
+    reach
+}
+
+/// One forward register-dependence pass over the CFG from block 0 for
+/// every seed label at once. Each register carries the labels its value
+/// may derive from; a labelled pc's destination gains its own label. The
+/// result holds, per pc, the union of the labels its sources carry
+/// (`labels.words` words per pc). Worklist fixpoint with may-union at
+/// joins and strong kills on overwrite within a block; blocks are swept
+/// in index order, so forward edges settle in one sweep. The transfer
+/// function distributes over union, so a pc reads a value derived from a
+/// seed set exactly when its row meets the set's labels: this is every
+/// handle's closure in one pass. Memory-carried dependence is not tracked
+/// (see [`AttackPlan::handle_independent`]).
+fn labelled_dependence(program: &Program, cfg: &Cfg, labels: &SeedLabels) -> Vec<u64> {
+    let w = labels.words;
+    let rw = Reg::COUNT * w;
+    let blocks = cfg.blocks();
+    let mut block_in = vec![0u64; blocks.len() * rw];
+    let mut reached = vec![false; blocks.len()];
+    let mut pending = vec![false; blocks.len()];
+    let mut regs = vec![0u64; rw];
+    let mut srcs = vec![0u64; w];
+    let mut out = vec![0u64; program.len() * w];
+    reached[0] = true;
+    pending[0] = true;
+    let mut sweep = true;
+    while sweep {
+        sweep = false;
+        for (b, blk) in blocks.iter().enumerate() {
+            if !std::mem::take(&mut pending[b]) {
+                continue;
+            }
+            regs.copy_from_slice(&block_in[b * rw..(b + 1) * rw]);
+            for pc in blk.pcs() {
+                let Some(inst) = program.fetch(pc) else {
+                    break;
+                };
+                srcs.fill(0);
+                for r in inst.sources().iter() {
+                    let carried = &regs[r.index() * w..(r.index() + 1) * w];
+                    for (a, &x) in srcs.iter_mut().zip(carried) {
+                        *a |= x;
+                    }
+                }
+                for (a, &x) in out[pc * w..(pc + 1) * w].iter_mut().zip(&srcs) {
+                    *a |= x;
+                }
+                if let Some(d) = inst.dst() {
+                    let dst = &mut regs[d.index() * w..(d.index() + 1) * w];
+                    dst.copy_from_slice(&srcs);
+                    if let Some(l) = labels.of_pc[pc] {
+                        dst[l / 64] |= 1 << (l % 64);
+                    }
+                }
+            }
+            for &s in &blk.succs {
+                if s == cfg.exit() {
+                    continue;
+                }
+                let mut changed = !std::mem::replace(&mut reached[s], true);
+                for (a, &x) in block_in[s * rw..(s + 1) * rw].iter_mut().zip(&regs) {
+                    changed |= x & !*a != 0;
+                    *a |= x;
+                }
+                if changed {
+                    pending[s] = true;
+                    sweep |= s <= b;
+                }
+            }
+        }
+    }
+    out
 }
 
 /// Enumerates replay-handle candidates: memory accesses to statically
@@ -460,7 +549,9 @@ fn enumerate_handles(
         };
         match *inst {
             Inst::Load { .. } | Inst::Store { .. } => {
-                let (base, offset, is_store) = inst.memory_ref().expect("memory inst");
+                let Some((base, offset, is_store)) = inst.memory_ref() else {
+                    continue;
+                };
                 let Some(vaddr) = state.resolve_addr(base, offset) else {
                     continue; // address unknown statically: not targetable
                 };
@@ -488,49 +579,78 @@ fn enumerate_handles(
     out
 }
 
-/// BFS over fetch successors from the handle: `bufs.dist[pc]` becomes
-/// the minimum number of instructions fetched after the handle before
-/// `pc` issues in its shadow, or `None` when unreachable without crossing
-/// a serializing instruction (`serializing[pc]`: `Fence`; `RdRand` when
-/// the core fences it; `XEnd` for TSX handles, whose replay scope is the
-/// transaction body). A serializing transmitter cannot issue
-/// speculatively at all, so serializing pcs stay `None` themselves.
-fn window_distances(
-    program: &Program,
-    handle: &Handle,
-    serializing: &[bool],
-    bufs: &mut HandleBuffers,
-) {
-    let n = program.len();
-    let HandleBuffers { dist, queue, .. } = bufs;
-    dist.fill(None);
-    let stop_at_xend = matches!(handle.kind, HandleKind::TsxAbort);
-    let mut visit = |s: usize, d: usize, queue: &mut VecDeque<(usize, usize)>| {
-        if s < n && dist[s].is_none() && !serializing[s] {
-            dist[s] = Some(d);
-            queue.push_back((s, d));
-        }
-    };
-    // The wrong path of a mispredicted branch covers both successors; a
-    // faulting access or xbegin continues at its fall-through.
-    visit(handle.pc + 1, 1, queue);
-    if let HandleKind::Mispredict = handle.kind {
-        let start_inst = program.fetch(handle.pc).expect("handle pc in range");
-        if let Some(t) = start_inst.control_target() {
-            visit(t, 1, queue);
+/// The per-handle window BFS, allocated once per [`analyze`] call and
+/// reused for every handle.
+struct Window {
+    /// Fetch distance of each pc from the current handle, `None` outside
+    /// its window.
+    dist: Vec<Option<usize>>,
+    /// The pcs the current BFS reached, in visiting order: its queue, and
+    /// the only entries of `dist` the next BFS has to reset.
+    reached: Vec<usize>,
+}
+
+impl Window {
+    fn new(n: usize) -> Window {
+        Window {
+            dist: vec![None; n],
+            reached: Vec::new(),
         }
     }
-    while let Some((pc, d)) = queue.pop_front() {
-        let inst = program.fetch(pc).expect("pc in range");
-        // XEnd commits a TSX region: nothing younger replays with it.
-        if stop_at_xend && matches!(inst, Inst::XEnd) {
-            continue;
+
+    /// BFS over fetch successors from the handle, at most `max_dist`
+    /// deep: `dist[pc]` becomes the minimum number of instructions fetched
+    /// after the handle before `pc` issues in its shadow, or `None` when
+    /// that is beyond `max_dist` (the ROB holds the handle plus
+    /// `rob_size - 1` younger instructions) or unreachable without
+    /// crossing a serializing instruction (`serializing[pc]`: `Fence`;
+    /// `RdRand` when the core fences it; `XEnd` for TSX handles, whose
+    /// replay scope is the transaction body). A serializing transmitter
+    /// cannot issue speculatively at all, so serializing pcs stay `None`
+    /// themselves.
+    fn distances(
+        &mut self,
+        program: &Program,
+        handle: &Handle,
+        serializing: &[bool],
+        max_dist: usize,
+    ) {
+        for &pc in &self.reached {
+            self.dist[pc] = None;
         }
-        if inst.falls_through() {
-            visit(pc + 1, d + 1, queue);
+        self.reached.clear();
+        let stop_at_xend = matches!(handle.kind, HandleKind::TsxAbort);
+        // The wrong path of a mispredicted branch covers both successors; a
+        // faulting access or xbegin continues at its fall-through.
+        self.visit(handle.pc + 1, 1, serializing, max_dist);
+        if let HandleKind::Mispredict = handle.kind {
+            if let Some(t) = program.fetch(handle.pc).and_then(|i| i.control_target()) {
+                self.visit(t, 1, serializing, max_dist);
+            }
         }
-        if let Some(t) = inst.control_target() {
-            visit(t, d + 1, queue);
+        let mut head = 0;
+        while let Some(&pc) = self.reached.get(head) {
+            head += 1;
+            let (Some(d), Some(inst)) = (self.dist[pc], program.fetch(pc)) else {
+                continue;
+            };
+            // XEnd commits a TSX region: nothing younger replays with it.
+            if stop_at_xend && matches!(inst, Inst::XEnd) {
+                continue;
+            }
+            if inst.falls_through() {
+                self.visit(pc + 1, d + 1, serializing, max_dist);
+            }
+            if let Some(t) = inst.control_target() {
+                self.visit(t, d + 1, serializing, max_dist);
+            }
+        }
+    }
+
+    fn visit(&mut self, pc: usize, d: usize, serializing: &[bool], max_dist: usize) {
+        if d <= max_dist && serializing.get(pc) == Some(&false) && self.dist[pc].is_none() {
+            self.dist[pc] = Some(d);
+            self.reached.push(pc);
         }
     }
 }

@@ -9,7 +9,7 @@
 //! the leak — scaling with the walk. Pass `--jobs N` to run the tunings
 //! on parallel sweep workers; stdout is identical for any worker count.
 
-use microscope_bench::{extract_count, parse_or_exit, print_table, shape_check};
+use microscope_bench::{extract_count, outln, parse_or_exit, print_table, shape_check};
 use microscope_core::sweep::{SweepPoint, SweepSpec};
 use microscope_core::{RunRequest, SessionBuilder, SimConfig};
 use microscope_cpu::{Assembler, ContextId, Reg};
@@ -82,8 +82,8 @@ fn measure(sim: SimConfig, walk: WalkTuning) -> (u64, usize) {
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let jobs = parse_or_exit(extract_count(&mut args, "--jobs"));
-    println!("== §4.1.2 ablation: walk tuning vs speculation window ==");
-    println!("victim: dependent pointer chase (1 line leaked per ~memory latency)\n");
+    outln!("== §4.1.2 ablation: walk tuning vs speculation window ==");
+    outln!("victim: dependent pointer chase (1 line leaked per ~memory latency)\n");
     let grid = [
         ("length 1 (3 levels warm)", WalkTuning::Length { levels: 1 }),
         ("length 2", WalkTuning::Length { levels: 2 }),
@@ -126,7 +126,7 @@ fn main() {
         ],
         &rows,
     );
-    println!();
+    outln!();
     let leaks: Vec<usize> = results.iter().map(|(_, _, l)| *l).collect();
     let ok1 = shape_check(
         "leak grows monotonically with walk length",

@@ -7,7 +7,7 @@
 //! scores the union against the reference implementation's ground-truth
 //! line trace.
 
-use microscope_bench::{print_table, shape_check};
+use microscope_bench::{outln, print_table, shape_check};
 use microscope_channels::aes_attack::{self, AesAttackConfig};
 use microscope_os::WalkTuning;
 
@@ -24,8 +24,8 @@ fn main() {
         defer_arm: None,
         ..AesAttackConfig::default()
     };
-    println!("== §6.2: single-run AES access-trace extraction ==");
-    println!("AES-128, one block; handle: rk page; pivot: Td0 page; 3 replays/step\n");
+    outln!("== §6.2: single-run AES access-trace extraction ==");
+    outln!("AES-128, one block; handle: rk page; pivot: Td0 page; 3 replays/step\n");
     let out = aes_attack::run(&cfg);
 
     let truth = out.truth_lines();
@@ -52,13 +52,13 @@ fn main() {
         ]);
     }
     print_table(&["table", "ground truth", "extracted", "correct"], &rows);
-    println!(
+    outln!(
         "\nreplays: {}  pivot steps: {}  observations: {}",
         out.report.replays(),
         steps,
         out.report.module.observations.len()
     );
-    println!("recall: {recall:.2}  precision: {precision:.2}");
+    outln!("recall: {recall:.2}  precision: {precision:.2}");
 
     let ok1 = shape_check(
         "single logical run",

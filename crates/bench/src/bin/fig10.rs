@@ -11,8 +11,8 @@
 //! sweep's merged metric registry.
 
 use microscope_bench::{
-    extract_count, histogram, parse_or_exit, print_table, shape_check, summarize_latencies,
-    ExportFlags,
+    extract_count, histogram, out, outln, parse_or_exit, print_table, shape_check,
+    summarize_latencies, ExportFlags,
 };
 use microscope_channels::port_contention::{analyze, run_attack, PortContentionConfig};
 use microscope_core::sweep::{SweepPoint, SweepSpec};
@@ -29,9 +29,9 @@ fn main() {
         probe: export.recorder(),
         ..PortContentionConfig::default()
     };
-    println!("== Figure 10: port-contention attack ({samples} monitor samples) ==");
-    println!("victim: control-flow secret (Fig. 4c/6); monitor: timed divsd loop (Fig. 7)");
-    println!("replay handle: addq counter on its own page; walk tuning: long\n");
+    outln!("== Figure 10: port-contention attack ({samples} monitor samples) ==");
+    outln!("victim: control-flow secret (Fig. 4c/6); monitor: timed divsd loop (Fig. 7)");
+    outln!("replay handle: addq counter on its own page; walk tuning: long\n");
 
     // One sweep point per victim variant; the secret rides as the payload.
     let sweep = SweepSpec::new("fig10", |pt: &SweepPoint<bool>| {
@@ -55,18 +55,18 @@ fn main() {
     r.mul_report = Some((*mul).clone());
     r.div_report = Some((*div).clone());
 
-    println!(
+    outln!(
         "{}",
         summarize_latencies("Fig10a (mul victim)", &r.mul_samples)
     );
-    println!(
+    outln!(
         "{}",
         summarize_latencies("Fig10b (div victim)", &r.div_samples)
     );
-    println!("\nFig10a latency histogram (cycles):");
-    print!("{}", histogram(&r.mul_samples, 8, 16));
-    println!("\nFig10b latency histogram (cycles):");
-    print!("{}", histogram(&r.div_samples, 8, 16));
+    outln!("\nFig10a latency histogram (cycles):");
+    out!("{}", histogram(&r.mul_samples, 8, 16));
+    outln!("\nFig10b latency histogram (cycles):");
+    out!("{}", histogram(&r.div_samples, 8, 16));
 
     print_table(
         &["series", "samples", "over threshold", "threshold"],
@@ -85,7 +85,7 @@ fn main() {
             ],
         ],
     );
-    println!(
+    outln!(
         "\nover-threshold ratio (div/mul): {:.1}x (paper: 16x — 64 vs 4)",
         r.ratio
     );

@@ -8,7 +8,7 @@
 //! replayed window touches hit in L1, everything else misses to memory.
 
 use microscope_bench::{
-    export_or_exit, extract_count, parse_or_exit, print_table, shape_check, ExportFlags,
+    export_or_exit, extract_count, outln, parse_or_exit, print_table, shape_check, ExportFlags,
 };
 use microscope_cache::{CacheConfig, HierarchyConfig};
 use microscope_channels::aes_attack::{self, AesAttackConfig};
@@ -29,9 +29,9 @@ fn main() {
         l2: CacheConfig::new(64, 4, 12),
         ..HierarchyConfig::default()
     });
-    println!("== Figure 11: Td1 probe latencies across three replays of one iteration ==");
-    println!("victim: OpenSSL-style T-table AES-128 decryption (one block)");
-    println!("handle: rk page; pivot: Td0 page; probes: all 64 Td lines; primed between replays\n");
+    outln!("== Figure 11: Td1 probe latencies across three replays of one iteration ==");
+    outln!("victim: OpenSSL-style T-table AES-128 decryption (one block)");
+    outln!("handle: rk page; pivot: Td0 page; probes: all 64 Td lines; primed between replays\n");
     let probe = export.recorder();
     let sweep = SweepSpec::new("fig11", |pt: &SweepPoint<()>| {
         let cfg = AesAttackConfig {
@@ -100,7 +100,7 @@ fn main() {
         let slow = r0.iter().filter(|l| **l >= mem_threshold).count();
         (fast, mid, slow)
     };
-    println!(
+    outln!(
         "\nReplay 0 level mix: {} fast (≤{l1_threshold}), {} intermediate, {} memory (≥{mem_threshold})",
         r0_classes.0, r0_classes.1, r0_classes.2
     );
@@ -127,7 +127,7 @@ fn main() {
         decrypted_correctly,
         "victim's architectural output matches the reference",
     );
-    println!(
+    outln!(
         "\nreplays performed: {}, window lines extracted: {:?}",
         out.report.replays(),
         r1_hits

@@ -8,7 +8,7 @@
 //!   younger code; with `k` primed branches in flight the transmit replays
 //!   up to `k` times — bounded, because branches eventually resolve.
 
-use microscope_bench::{extract_count, parse_or_exit, print_table, shape_check};
+use microscope_bench::{extract_count, outln, parse_or_exit, print_table, shape_check};
 use microscope_core::sweep::{SweepPoint, SweepSpec};
 use microscope_core::SimConfig;
 use microscope_cpu::{
@@ -127,7 +127,7 @@ fn mispredict_replays(k: usize) -> u64 {
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let jobs = parse_or_exit(extract_count(&mut args, "--jobs"));
-    println!("== §7: alternative replay handles ==\n");
+    outln!("== §7: alternative replay handles ==\n");
     // The five experiments run as one sweep grid — `--jobs N` fans them
     // out; the grid-ordered results keep stdout byte-identical for any N.
     let sweep = SweepSpec::new("sec7-handles", |pt: &SweepPoint<HandlePoint>| {
@@ -192,7 +192,7 @@ fn main() {
         }
     }
     print_table(&["handle", "replay events", "leak", "bound"], &rows);
-    println!();
+    outln!();
 
     let ok1 = shape_check(
         "TSX aborts replay the transaction",

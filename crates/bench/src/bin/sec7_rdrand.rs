@@ -7,7 +7,7 @@
 //! through. The lesson is that there should be such a fence, for security
 //! reasons." Both worlds are runnable here via a config bit.
 
-use microscope_bench::{extract_count, parse_or_exit, print_table, shape_check};
+use microscope_bench::{extract_count, outln, parse_or_exit, print_table, shape_check};
 use microscope_core::sweep::{SweepPoint, SweepSpec};
 use microscope_core::SimConfig;
 use microscope_defenses::fences::rdrand_bias_successes;
@@ -16,10 +16,10 @@ fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let jobs = parse_or_exit(extract_count(&mut args, "--jobs"));
     let trials = 24;
-    println!("== §7.2: biasing RDRAND via selective replay ==");
-    println!("victim: handle load; r = RDRAND; transmit(table[(r&1)<<12]); commit r");
-    println!("replayer: release the handle only when the observed speculative draw");
-    println!("has the target low bit; otherwise flush the probe lines and replay.\n");
+    outln!("== §7.2: biasing RDRAND via selective replay ==");
+    outln!("victim: handle load; r = RDRAND; transmit(table[(r&1)<<12]); commit r");
+    outln!("replayer: release the handle only when the observed speculative draw");
+    outln!("has the target low bit; otherwise flush the probe lines and replay.\n");
 
     // Both worlds run as one sweep grid — `--jobs N` fans them out; each
     // trial seeds its own machine from the trial number, so results (and
@@ -62,7 +62,7 @@ fn main() {
             ],
         ],
     );
-    println!();
+    outln!();
     let ok1 = shape_check(
         "unfenced RDRAND is biasable",
         f64::from(unfenced) >= 0.85 * f64::from(trials),

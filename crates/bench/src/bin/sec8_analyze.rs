@@ -22,7 +22,9 @@
 use microscope_analyze::{
     analyze, baseline_executions, validate_plan, AnalysisReport, AttackPlan, Handle, Transmitter,
 };
-use microscope_bench::{extract_count, extract_flag, parse_or_exit, print_table, shape_check};
+use microscope_bench::{
+    extract_count, extract_flag, out, outln, parse_or_exit, print_table, shape_check,
+};
 use microscope_core::sweep::{SweepError, SweepPoint, SweepSpec};
 use microscope_core::{SessionBuilder, SimConfig};
 use microscope_cpu::{CoreConfig, Program};
@@ -333,7 +335,7 @@ fn main() {
     let jobs = parse_or_exit(extract_count(&mut args, "--jobs"));
     let audit_defenses = extract_flag(&mut args, "--audit-defenses");
 
-    println!("== §8 static replay-handle & secret-taint analysis ==\n");
+    outln!("== §8 static replay-handle & secret-taint analysis ==\n");
     let subjects = subjects();
     let sweep = SweepSpec::new("sec8-analyze", |pt: &SweepPoint<Subject>| {
         run_subject(&pt.payload, audit_defenses)
@@ -384,14 +386,14 @@ fn main() {
         ],
         &rows,
     );
-    println!();
+    outln!();
     for (_, o) in &outcomes {
-        print!("{}", o.report);
+        out!("{}", o.report);
         for v in &o.validations {
-            println!("  {}", v.line);
+            outln!("  {}", v.line);
         }
         if let Some(a) = &o.audit {
-            println!(
+            outln!(
                 "  audit: {} open plan(s) -> {} after fencing; attacked {} vs baseline {} issues => {}",
                 a.open_before,
                 a.open_after,
@@ -400,7 +402,7 @@ fn main() {
                 if a.sealed { "SEALED" } else { "STILL OPEN" }
             );
         }
-        println!();
+        outln!();
     }
 
     let get = |name: &str| {

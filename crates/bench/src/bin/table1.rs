@@ -10,7 +10,7 @@
 //! table is identical for any worker count.
 
 use microscope_bench::{
-    export_or_exit, extract_count, parse_or_exit, print_table, shape_check, ExportFlags,
+    export_or_exit, extract_count, outln, parse_or_exit, print_table, shape_check, ExportFlags,
 };
 use microscope_channels::taxonomy::{catalog, Measurement, Noise, Temporal};
 use microscope_core::sweep::{SweepPoint, SweepSpec};
@@ -24,7 +24,7 @@ fn main() {
     let export = parse_or_exit(ExportFlags::extract(&mut args));
     let jobs = parse_or_exit(extract_count(&mut args, "--jobs"));
     let trials: u32 = parse_or_exit(extract_count(&mut args, "--trials")).unwrap_or(30);
-    println!("== Table 1: side-channel taxonomy, measured ({trials} trials/row) ==\n");
+    outln!("== Table 1: side-channel taxonomy, measured ({trials} trials/row) ==\n");
     let rows_catalog = catalog();
     // Each taxonomy row is one sweep point; the payload carries the row's
     // experiment fn and its trial count (MicroScope-class experiments are
@@ -106,7 +106,7 @@ fn main() {
         &rows,
     );
 
-    println!();
+    outln!();
     // Shape checks: the table's key orderings.
     let acc = |name: &str| {
         results

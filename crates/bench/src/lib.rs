@@ -18,6 +18,42 @@
 /// The workspace's one JSON module, re-exported for the repo benchmark, `perfbench`.
 pub use microscope_probe::json;
 
+/// Writes to stdout: the one path every harness binary prints its report
+/// through ([`out!`], [`outln!`], [`print_table`], [`shape_check`]). A
+/// reader that closes the pipe early (`| head -1`) has taken all it
+/// wanted, so a broken pipe ends the process with status 0 and nothing on
+/// stderr; any other write error exits 1 with the error on stderr.
+pub fn write_stdout(args: std::fmt::Arguments<'_>) {
+    let result = std::io::Write::write_fmt(&mut std::io::stdout().lock(), args);
+    match result {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => {
+            eprintln!("error: writing stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// `print!` through [`write_stdout`].
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 /// Renders a latency series as a compact ASCII scatter summary: count per
 /// bucket, plus min/median/p99/max.
 pub fn summarize_latencies(name: &str, samples: &[u64]) -> String {
@@ -87,7 +123,7 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
         for (i, c) in cells.iter().enumerate() {
             s.push_str(&format!("{:<w$}  ", c, w = widths[i]));
         }
-        println!("{}", s.trim_end());
+        outln!("{}", s.trim_end());
     };
     line(headers.iter().map(|h| h.to_string()).collect());
     line(widths.iter().map(|w| "-".repeat(*w)).collect());
@@ -284,7 +320,7 @@ impl ExportFlags {
         if let Some(path) = &self.trace_out {
             let json = microscope_probe::export::chrome_trace(&report.trace);
             write(path, &json)?;
-            println!(
+            outln!(
                 "wrote {} trace events ({} dropped) to {}",
                 report.trace.len(),
                 report.dropped_events,
@@ -295,7 +331,7 @@ impl ExportFlags {
             let mut metrics = report.metrics.clone();
             metrics.merge(extra);
             write(path, &metrics.to_jsonl())?;
-            println!("wrote {} metrics to {}", metrics.len(), path.display());
+            outln!("wrote {} metrics to {}", metrics.len(), path.display());
         }
         Ok(())
     }
@@ -311,7 +347,7 @@ pub fn export_or_exit(result: Result<(), ExportError>) {
 
 /// A PASS/FAIL shape check, printed and returned.
 pub fn shape_check(name: &str, ok: bool, detail: &str) -> bool {
-    println!(
+    outln!(
         "[{}] {} — {}",
         if ok { "PASS" } else { "FAIL" },
         name,

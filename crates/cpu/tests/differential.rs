@@ -7,10 +7,12 @@
 //! is the contract MicroScope exploits (replay steals microarchitectural
 //! state, never architectural results), so it gets the heaviest test.
 //! Every program also runs a second time on the cycle-by-cycle loop
-//! (fast-forward off), which must end on the same cycle with the same
-//! statistics and divider accounting.
+//! (fast-forward off), and a third time cut at a random cycle: captured
+//! there, run to halt, restored and run to halt again. Each of those runs
+//! must end like the continuous one: same cycle, statistics, divider
+//! accounting, registers and memory.
 
-use microscope_cpu::{AluOp, Cond, Inst, MachineBuilder, Program, Reg};
+use microscope_cpu::{AluOp, Cond, Inst, Machine, MachineBuilder, Program, Reg};
 use microscope_mem::{AddressSpace, PhysMem, PteFlags, VAddr, PAGE_BYTES};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -184,11 +186,41 @@ fn compile(blocks: &[Block]) -> Program {
     asm.finish()
 }
 
+/// Checks that `got` ended exactly where the continuous run `want` did:
+/// cycle, statistics, divider accounting, every register and every data
+/// slot.
+fn same_end(got: &Machine, want: &Machine, what: &str) -> TestCaseResult {
+    prop_assert_eq!(got.cycle(), want.cycle(), "{}: cycle", what);
+    prop_assert_eq!(got.stats(), want.stats(), "{}: stats", what);
+    prop_assert_eq!(
+        got.ports().div_stats(),
+        want.ports().div_stats(),
+        "{}: divider",
+        what
+    );
+    let (g, w) = (got.context(0.into()), want.context(0.into()));
+    for r in 0..Reg::COUNT as u8 {
+        prop_assert_eq!(g.reg(Reg(r)), w.reg(Reg(r)), "{}: r{}", what, r);
+    }
+    for slot in 0..16u64 {
+        let a = VAddr(DATA_BASE + slot * 8);
+        prop_assert_eq!(
+            got.read_virt(0.into(), a, 8),
+            want.read_virt(0.into(), a, 8),
+            "{}: memory {}",
+            what,
+            a
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
     #[test]
     fn out_of_order_machine_matches_sequential_semantics(
         blocks in prop::collection::vec(arb_block(), 1..4),
+        cut_pct in 0u64..101,
     ) {
         let prog = compile(&blocks);
         // Initial memory: 16 slots of recognizable values.
@@ -219,9 +251,18 @@ proptest! {
         let mut reference = build();
         reference.set_fast_forward(false);
         prop_assert_eq!(reference.run(5_000_000), exit);
-        prop_assert_eq!(reference.cycle(), m.cycle());
-        prop_assert_eq!(reference.stats(), m.stats());
-        prop_assert_eq!(reference.ports().div_stats(), m.ports().div_stats());
+        same_end(&reference, &m, "fast-forward off")?;
+        // Restore at any cycle is invisible: cut at `cut_pct`% of the run,
+        // capture, finish; then restore the capture and finish again.
+        let mut cut = build();
+        cut.run(m.cycle() * cut_pct / 100);
+        let cp = cut.checkpoint();
+        prop_assert_eq!(cut.run(5_000_000), exit);
+        same_end(&cut, &m, "run on from the capture")?;
+        prop_assert!(cut.restore(&cp));
+        prop_assert_eq!(cut.cycle(), cp.cycle());
+        prop_assert_eq!(cut.run(5_000_000), exit);
+        same_end(&cut, &m, "restored and rerun")?;
         let ctx = m.context(0.into());
         for r in 1..13u8 {
             prop_assert_eq!(

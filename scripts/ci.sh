@@ -119,8 +119,34 @@ for jobs in 1 2; do
 done
 rm -f "$ANALYZE_OUT"
 
-echo "== analyzer soundness property =="
+echo "== analyzer soundness and planner equivalence properties =="
 cargo test -q --release --test analyze_soundness
+cargo test -q --release -p microscope-analyze --test plan_equivalence
+
+echo "== closed-pipe smoke: harness binaries into head -1 =="
+# A reader that stops early must end the run quietly: status 0 and no
+# panic on stderr.
+PIPE_ERR="${TMPDIR:-/tmp}/closed_pipe.err"
+PIPE_STATUS="${TMPDIR:-/tmp}/closed_pipe.status"
+for cmd in "fig10 --samples=500" "table1 --trials=3" "sec8_analyze"; do
+    # shellcheck disable=SC2086 # split the binary name from its flags
+    set -- $cmd
+    bin=$1
+    shift
+    {
+        st=0
+        cargo run -q --release -p microscope-bench --bin "$bin" -- "$@" 2>"$PIPE_ERR" || st=$?
+        echo "$st" >"$PIPE_STATUS"
+    } | head -1 >/dev/null
+    status=$(cat "$PIPE_STATUS")
+    if [ "$status" != 0 ] || grep -q panicked "$PIPE_ERR"; then
+        echo "error: $cmd | head -1 exited $status:" >&2
+        cat "$PIPE_ERR" >&2
+        exit 1
+    fi
+    echo "$cmd | head -1: exit 0, no panic"
+done
+rm -f "$PIPE_ERR" "$PIPE_STATUS"
 
 echo "== tracked figure: Rust lines in crates/ src/ examples/ tests/ =="
 find crates src examples tests -name '*.rs' -exec cat {} + | wc -l
