@@ -56,12 +56,13 @@ impl Cfg {
             leader[0] = true;
         }
         for (pc, inst) in program.iter().enumerate() {
+            // `Program::new` keeps every target at most `n`.
             if let Some(t) = inst.control_target() {
-                leader[t.min(n)] = true;
+                leader[t] = true;
             }
             // Any control transfer ends a block; the next pc starts one.
             if inst.control_target().is_some() || matches!(inst, Inst::Halt) {
-                leader[(pc + 1).min(n)] = true;
+                leader[pc + 1] = true;
             }
         }
         let starts: Vec<usize> = (0..=n).filter(|&i| leader[i]).collect();
@@ -91,7 +92,9 @@ impl Cfg {
                 continue; // virtual exit
             }
             let last = b.end - 1;
-            let inst = program.fetch(last).expect("pc in range");
+            let Some(inst) = program.fetch(last) else {
+                continue;
+            };
             let mut out: Vec<usize> = Vec::new();
             if inst.falls_through() {
                 out.push(block_at(last + 1));
@@ -264,10 +267,11 @@ mod tests {
     }
 
     /// Control-heavy programs of up to 160 instructions (so some CFGs
-    /// span more than one 64-bit word per matrix row) whose targets may
-    /// point past the end.
+    /// span more than one 64-bit word per matrix row) whose targets fold
+    /// into `0..=len`, falling off the end included.
     fn arb_program() -> impl Strategy<Value = Program> {
         prop::collection::vec((0u8..8, 0usize..170), 1..160).prop_map(|spec| {
+            let span = spec.len() + 1;
             let insts = spec.into_iter().map(|(kind, target)| match kind {
                 0 | 1 => Inst::Branch {
                     cond: Cond::Eq,
@@ -282,7 +286,8 @@ mod tests {
                 4 => Inst::Halt,
                 _ => Inst::Nop,
             });
-            Program::new(insts.collect())
+            let insts = insts.map(|i| i.retargeted(|t| t % span));
+            Program::new(insts.collect()).expect("registers, sizes and targets are in range")
         })
     }
 

@@ -228,6 +228,9 @@ pub fn analyze(program: &Program, cfg: &Cfg, secrets: &SecretMap) -> TaintResult
                 continue;
             };
             for pc in cfg.blocks()[b].pcs() {
+                let Some(inst) = program.fetch(pc) else {
+                    continue;
+                };
                 match &mut state_at[pc] {
                     Some(prev) => {
                         prev.join(&cur);
@@ -235,12 +238,7 @@ pub fn analyze(program: &Program, cfg: &Cfg, secrets: &SecretMap) -> TaintResult
                     }
                     slot @ None => *slot = Some(cur.clone()),
                 }
-                mem_grew |= transfer(
-                    program.fetch(pc).expect("pc in range"),
-                    &mut cur,
-                    &mut memory,
-                    secrets,
-                );
+                mem_grew |= transfer(inst, &mut cur, &mut memory, secrets);
                 cur.tainted |= sticky;
             }
             for &s in &cfg.blocks()[b].succs {

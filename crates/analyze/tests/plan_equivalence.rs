@@ -93,16 +93,12 @@ fn piece((kind, a, b, c, t): (u8, usize, usize, usize, usize)) -> Vec<Inst> {
 }
 
 /// Concatenates the pieces and folds every control target into
-/// `0..len + 3`, so targets reach up to 2 past the end.
+/// `0..=len`, so `target == len` (falling off the end) stays covered.
 fn assemble(pieces: Vec<Vec<Inst>>) -> Program {
     let insts: Vec<Inst> = pieces.into_iter().flatten().collect();
-    let span = insts.len() + 3;
-    Program::new(
-        insts
-            .into_iter()
-            .map(|i| i.retargeted(|t| t % span))
-            .collect(),
-    )
+    let span = insts.len() + 1;
+    let insts = insts.into_iter().map(|i| i.retargeted(|t| t % span));
+    Program::new(insts.collect()).expect("registers, sizes and targets are in range")
 }
 
 fn pieces() -> impl Strategy<Value = Vec<Vec<Inst>>> {

@@ -11,7 +11,7 @@
 //!   handle and the transmitter issues strictly more often than in an
 //!   undisturbed baseline run.
 //! * `--audit-defenses` — additionally hardens each validated victim with
-//!   `defenses::fences::harden` (a fence immediately before every
+//!   `defenses::fences::insert_fences` (a fence immediately before every
 //!   transmitter), re-analyzes (zero open windows expected), and re-runs
 //!   the attack against the hardened program (no extra transmitter
 //!   issues expected).
@@ -28,7 +28,7 @@ use microscope_bench::{
 use microscope_core::sweep::{SweepError, SweepPoint, SweepSpec};
 use microscope_core::{SessionBuilder, SimConfig};
 use microscope_cpu::{CoreConfig, Program};
-use microscope_defenses::fences::{harden, remapped_pc};
+use microscope_defenses::fences::{insert_fences, remapped_pc};
 use microscope_mem::{AddressSpace, VAddr};
 use microscope_victims::{
     aes, control_flow, loop_secret, modexp, rdrand, single_secret, subnormal, SecretMap,
@@ -291,7 +291,7 @@ fn run_subject(subject: &Subject, audit_defenses: bool) -> Result<Outcome, Sweep
     let audit = if audit_defenses && subject.validate {
         let (prog, _) = prog_for(subject);
         let positions: Vec<usize> = report.transmitters.iter().map(|t| t.pc).collect();
-        let hardened = harden(&prog, &positions);
+        let hardened = insert_fences(&prog, &positions);
         let hardened_report = analyze_subject(subject, Some(&hardened));
         let plan = report
             .page_fault_plans()

@@ -280,11 +280,6 @@ impl MemoryHierarchy {
         set.iter().map(|a| self.access(*a).latency).sum()
     }
 
-    /// The L1 bank an address maps to (CacheBleed model).
-    pub fn l1_bank_of(&self, addr: PAddr) -> usize {
-        self.banks.bank_of(addr)
-    }
-
     /// Bank-conflict bookkeeping for the current cycle; see [`BankModel`].
     pub fn bank_model(&mut self) -> &mut BankModel {
         &mut self.banks

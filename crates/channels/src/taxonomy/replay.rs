@@ -51,19 +51,13 @@ fn one_shot_samples(secret: bool, jitter: u64) -> Vec<u64> {
     let monitor_asp = b.new_aspace(2);
     // Victim with a jitter nop-sled prepended.
     let (victim_prog, _) = control_flow::build(b.phys(), victim_asp, VAddr(0x1000_0000), secret);
-    let mut padded = microscope_cpu::Assembler::new();
-    for _ in 0..jitter {
-        padded.nop();
-    }
-    let mut insts: Vec<microscope_cpu::Inst> = padded.finish().iter().copied().collect();
+    let sled = jitter as usize;
+    let mut insts = vec![microscope_cpu::Inst::Nop; sled];
     // Re-emit the victim body after the sled (branch targets shift by the
     // sled length).
-    insts.extend(
-        victim_prog
-            .iter()
-            .map(|i| shift_targets(*i, jitter as usize)),
-    );
-    let victim_prog = microscope_cpu::Program::new(insts);
+    insts.extend(victim_prog.iter().map(|i| i.shifted_targets(sled)));
+    let victim_prog = microscope_cpu::Program::new(insts)
+        .expect("a nop sled shifts every target of a valid program by its own length");
     let samples = 200;
     let (monitor_prog, buffer) =
         port_contention::monitor_program(b.phys(), monitor_asp, VAddr(0x2000_0000), samples);
@@ -77,25 +71,6 @@ fn one_shot_samples(secret: bool, jitter: u64) -> Vec<u64> {
         .execute(RunRequest::cold(20_000_000).until_monitor_done())
         .expect("one-shot session has a monitor");
     report.monitor_samples
-}
-
-fn shift_targets(inst: microscope_cpu::Inst, by: usize) -> microscope_cpu::Inst {
-    use microscope_cpu::Inst;
-    match inst {
-        Inst::Branch { cond, a, b, target } => Inst::Branch {
-            cond,
-            a,
-            b,
-            target: target + by,
-        },
-        Inst::Jmp { target } => Inst::Jmp {
-            target: target + by,
-        },
-        Inst::XBegin { abort_target } => Inst::XBegin {
-            abort_target: abort_target + by,
-        },
-        other => other,
-    }
 }
 
 /// The same channel under MicroScope: the victim's window replays a few

@@ -42,18 +42,6 @@ impl SimConfig {
         self.hierarchy = hierarchy;
         self
     }
-
-    /// Replaces the TLB configuration (chainable).
-    pub fn with_tlb(mut self, tlb: TlbHierarchyConfig) -> Self {
-        self.tlb = tlb;
-        self
-    }
-
-    /// Replaces the walker configuration (chainable).
-    pub fn with_walker(mut self, walker: WalkerConfig) -> Self {
-        self.walker = walker;
-        self
-    }
 }
 
 #[cfg(test)]

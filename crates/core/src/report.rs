@@ -107,11 +107,6 @@ impl AttackReport {
         self.module.replays.first().copied().unwrap_or(0)
     }
 
-    /// Whether every installed recipe completed.
-    pub fn all_recipes_finished(&self) -> bool {
-        !self.module.finished.is_empty() && self.module.finished.iter().all(|f| *f)
-    }
-
     /// Per-replay analytics derived from the observations and the trace.
     pub fn analytics(&self) -> ReplayAnalytics {
         ReplayAnalytics::from_parts(&self.module, &self.trace)

@@ -161,6 +161,12 @@ impl Context {
     }
 
     /// The architectural (retired) value of a register.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` is `Reg(32)` or above. [`Program::new`] keeps such
+    /// registers out of programs, but `Reg` wraps a plain `u8`, so host
+    /// code can name any register.
     pub fn reg(&self, r: Reg) -> u64 {
         self.arch_regs[r.index()]
     }
@@ -171,6 +177,10 @@ impl Context {
     }
 
     /// Sets a register architecturally (host-side setup between runs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` is `Reg(32)` or above, as [`Context::reg`] does.
     pub fn set_reg(&mut self, r: Reg, value: u64) {
         self.arch_regs[r.index()] = value;
     }
@@ -188,11 +198,6 @@ impl Context {
     /// Whether the context has halted.
     pub fn halted(&self) -> bool {
         self.halted
-    }
-
-    /// Whether a transaction is active.
-    pub fn in_txn(&self) -> bool {
-        self.txn.is_some()
     }
 
     /// The program this context runs.
@@ -423,7 +428,8 @@ mod tests {
     fn ctx() -> Context {
         let mut phys = PhysMem::new();
         let asp = AddressSpace::new(&mut phys, 1);
-        Context::new(ContextId(0), Program::new(vec![Inst::Halt]), asp, 1)
+        let halt = Program::new(vec![Inst::Halt]).expect("a halt is a program");
+        Context::new(ContextId(0), halt, asp, 1)
     }
 
     #[test]

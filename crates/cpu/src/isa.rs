@@ -358,11 +358,6 @@ impl Inst {
         matches!(self, Inst::Load { .. } | Inst::Store { .. })
     }
 
-    /// Whether this is a control-flow instruction.
-    pub fn is_control(&self) -> bool {
-        matches!(self, Inst::Branch { .. } | Inst::Jmp { .. })
-    }
-
     /// Whether this instruction serializes the pipeline — younger
     /// instructions cannot issue beneath it, so no speculation window
     /// crosses it. `Fence` always does; `RdRand` only when the core runs

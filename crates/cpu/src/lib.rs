@@ -62,7 +62,7 @@ pub use isa::{AluOp, Cond, FpOp, Inst, Reg};
 pub use machine::{CheckpointStats, Machine, MachineBuilder, MachineCheckpoint, RunExit};
 pub use ports::{PortKind, Ports};
 pub use predictor::{BranchPredictor, PredictorConfig};
-pub use program::{AssembleError, Assembler, Label, Program};
+pub use program::{Assembler, Label, Program, ProgramError};
 pub use rob::{RobEntry, RobState, SquashCause};
 pub use stats::{ContextStats, MachineStats};
 pub use supervisor::{

@@ -305,11 +305,6 @@ impl Machine {
         &self.contexts[id.0]
     }
 
-    /// Mutable access to a context (host-side setup).
-    pub fn context_mut(&mut self, id: ContextId) -> &mut Context {
-        &mut self.contexts[id.0]
-    }
-
     /// Number of hardware contexts.
     pub fn context_count(&self) -> usize {
         self.contexts.len()

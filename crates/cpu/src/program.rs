@@ -15,18 +15,36 @@ pub struct Program {
 }
 
 impl Program {
-    /// Wraps an instruction vector as is. Prefer [`Assembler`] for anything
-    /// with control flow.
+    /// Validates `insts` and wraps them as a program. Prefer [`Assembler`]
+    /// for anything with control flow.
     ///
-    /// Nothing is validated here: the caller must ensure every control
-    /// target is at most the program length and every load and store
-    /// accesses 1, 2, 4 or 8 bytes — the checks [`Assembler::assemble`]
-    /// makes. Executing a load or store of any other size panics in the
-    /// memory model.
-    pub fn new(insts: Vec<Inst>) -> Self {
-        Program {
-            insts: insts.into(),
+    /// This is the one place that decides what a program is. Every
+    /// instruction must name registers below [`Reg::COUNT`], every load and
+    /// store must access 1, 2, 4 or 8 bytes, and every control target must
+    /// be at most the program length (a target equal to it falls off the
+    /// end, which halts). The first instruction that breaks a rule is
+    /// returned as a [`ProgramError`]; the core and the analyzer rely on
+    /// these rules and never check them again.
+    pub fn new(insts: Vec<Inst>) -> Result<Self, ProgramError> {
+        let len = insts.len();
+        for (at, inst) in insts.iter().enumerate() {
+            let (dst, srcs) = (inst.dst(), inst.sources());
+            let mut regs = dst.iter().chain(srcs.iter());
+            if let Some(reg) = regs.find(|r| r.index() >= Reg::COUNT) {
+                return Err(ProgramError::BadRegister { at, reg: reg.0 });
+            }
+            if let Inst::Load { size, .. } | Inst::Store { size, .. } = *inst {
+                if !matches!(size, 1 | 2 | 4 | 8) {
+                    return Err(ProgramError::BadAccessSize { at, size });
+                }
+            }
+            if let Some(target) = inst.control_target().filter(|&t| t > len) {
+                return Err(ProgramError::TargetOutOfRange { at, target, len });
+            }
         }
+        Ok(Program {
+            insts: insts.into(),
+        })
     }
 
     /// The instruction at `pc`, or `None` past the end.
@@ -66,24 +84,32 @@ impl Program {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Label(usize);
 
-/// Why [`Assembler::assemble`] rejected a program.
+/// Why [`Program::new`] (or [`Assembler::assemble`], which resolves
+/// labels and then calls it) rejected an instruction vector.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AssembleError {
+pub enum ProgramError {
     /// A control-flow instruction references a label that was never bound.
     UnboundLabel {
         /// Program index of the referencing instruction.
         at: usize,
     },
+    /// An instruction names a register outside `Reg(0)`–`Reg(31)`.
+    BadRegister {
+        /// Program index of the offending instruction.
+        at: usize,
+        /// The out-of-range register number.
+        reg: u8,
+    },
     /// A control-flow target points past the end of the program. A target
     /// *equal to* the length is allowed (falling off the end halts); one
-    /// beyond it can only come from a hand-pushed instruction and would
-    /// silently halt at runtime instead of going where it claims.
+    /// beyond it would silently halt at runtime instead of going where it
+    /// claims.
     TargetOutOfRange {
         /// Program index of the offending instruction.
         at: usize,
         /// The out-of-range target.
         target: usize,
-        /// Program length at assembly time.
+        /// Program length.
         len: usize,
     },
     /// A load or store whose access size is not 1, 2, 4 or 8 bytes.
@@ -95,18 +121,23 @@ pub enum AssembleError {
     },
 }
 
-impl std::fmt::Display for AssembleError {
+impl std::fmt::Display for ProgramError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("program validation failed: ")?;
         match *self {
-            AssembleError::UnboundLabel { at } => {
+            ProgramError::UnboundLabel { at } => {
                 write!(f, "unbound label referenced by instruction at pc {at}")
             }
-            AssembleError::TargetOutOfRange { at, target, len } => write!(
+            ProgramError::BadRegister { at, reg } => write!(
+                f,
+                "instruction at pc {at} names r{reg}; registers are r0 to r31"
+            ),
+            ProgramError::TargetOutOfRange { at, target, len } => write!(
                 f,
                 "instruction at pc {at} targets {target}, past the end of the \
                  {len}-instruction program"
             ),
-            AssembleError::BadAccessSize { at, size } => write!(
+            ProgramError::BadAccessSize { at, size } => write!(
                 f,
                 "instruction at pc {at} accesses {size} bytes; loads and \
                  stores take 1, 2, 4 or 8"
@@ -115,7 +146,7 @@ impl std::fmt::Display for AssembleError {
     }
 }
 
-impl std::error::Error for AssembleError {}
+impl std::error::Error for ProgramError {}
 
 /// Incremental program builder with labels.
 ///
@@ -211,26 +242,6 @@ impl Assembler {
     pub fn fdiv(&mut self, dst: Reg, a: Reg, b: Reg) -> &mut Self {
         self.push(Inst::FOp {
             op: FpOp::Div,
-            dst,
-            a,
-            b,
-        })
-    }
-
-    /// Floating-point multiply (`mulsd`).
-    pub fn fmul(&mut self, dst: Reg, a: Reg, b: Reg) -> &mut Self {
-        self.push(Inst::FOp {
-            op: FpOp::Mul,
-            dst,
-            a,
-            b,
-        })
-    }
-
-    /// Floating-point add (`addsd`).
-    pub fn fadd(&mut self, dst: Reg, a: Reg, b: Reg) -> &mut Self {
-        self.push(Inst::FOp {
-            op: FpOp::Add,
             dst,
             a,
             b,
@@ -335,16 +346,15 @@ impl Assembler {
         self.push(Inst::Halt)
     }
 
-    /// Resolves labels and produces the program, statically rejecting
-    /// programs that would only fail at runtime: references to labels that
-    /// were never bound, control-flow targets beyond the end of the
-    /// program, and loads or stores of a size other than 1, 2, 4 or 8
-    /// bytes (including ones smuggled in through [`Assembler::push`]).
-    pub fn assemble(&mut self) -> Result<Program, AssembleError> {
+    /// Resolves labels and hands the result to [`Program::new`], which
+    /// validates it. A reference to a label that was never bound is
+    /// [`ProgramError::UnboundLabel`]; everything else is checked there,
+    /// including instructions added through [`Assembler::push`].
+    pub fn assemble(&mut self) -> Result<Program, ProgramError> {
         let mut insts = std::mem::take(&mut self.insts);
         for (at, label) in self.fixups.drain(..) {
             let Some(target) = self.labels[label.0] else {
-                return Err(AssembleError::UnboundLabel { at });
+                return Err(ProgramError::UnboundLabel { at });
             };
             match &mut insts[at] {
                 Inst::Branch { target: t, .. }
@@ -354,21 +364,7 @@ impl Assembler {
             }
         }
         self.labels.clear();
-        let len = insts.len();
-        for (at, inst) in insts.iter().enumerate() {
-            if let Some(target) = inst.control_target() {
-                // target == len is fine: falling off the end halts.
-                if target > len {
-                    return Err(AssembleError::TargetOutOfRange { at, target, len });
-                }
-            }
-            if let Inst::Load { size, .. } | Inst::Store { size, .. } = *inst {
-                if !matches!(size, 1 | 2 | 4 | 8) {
-                    return Err(AssembleError::BadAccessSize { at, size });
-                }
-            }
-        }
-        Ok(Program::new(insts))
+        Program::new(insts)
     }
 
     /// Resolves labels and produces the program.
@@ -376,7 +372,7 @@ impl Assembler {
     /// # Panics
     ///
     /// Panics if the program is rejected by [`Assembler::assemble`] (an
-    /// unbound label, an out-of-range target or a bad access size).
+    /// unbound label or any [`ProgramError`] of [`Program::new`]).
     pub fn finish(&mut self) -> Program {
         self.assemble().unwrap_or_else(|e| panic!("{e}"))
     }
@@ -424,7 +420,7 @@ mod tests {
         asm.nop().jmp(l);
         assert_eq!(
             asm.assemble().unwrap_err(),
-            AssembleError::UnboundLabel { at: 1 }
+            ProgramError::UnboundLabel { at: 1 }
         );
     }
 
@@ -434,7 +430,7 @@ mod tests {
         asm.push(Inst::Jmp { target: 5 }).halt();
         assert_eq!(
             asm.assemble().unwrap_err(),
-            AssembleError::TargetOutOfRange {
+            ProgramError::TargetOutOfRange {
                 at: 0,
                 target: 5,
                 len: 2
@@ -460,13 +456,13 @@ mod tests {
         asm.imm(Reg(1), 0x1000).load_sized(Reg(2), Reg(1), 0, 3);
         assert_eq!(
             asm.assemble().unwrap_err(),
-            AssembleError::BadAccessSize { at: 1, size: 3 }
+            ProgramError::BadAccessSize { at: 1, size: 3 }
         );
         let mut asm = Assembler::new();
         asm.store_sized(Reg(2), Reg(1), 0, 16).halt();
         assert_eq!(
             asm.assemble().unwrap_err(),
-            AssembleError::BadAccessSize { at: 0, size: 16 }
+            ProgramError::BadAccessSize { at: 0, size: 16 }
         );
         let mut asm = Assembler::new();
         for size in [1, 2, 4, 8] {
@@ -477,19 +473,56 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_registers_are_rejected_through_both_constructors() {
+        // Reg is `pub u8`, so any number can be written; r40 used to reach
+        // the register files of the core and the analyzer and panic there.
+        let bad = ProgramError::BadRegister { at: 0, reg: 40 };
+        let imm = Inst::Imm {
+            dst: Reg(40),
+            value: 1,
+        };
+        assert_eq!(Program::new(vec![imm, Inst::Halt]).unwrap_err(), bad);
+        assert_eq!(
+            Assembler::new()
+                .imm(Reg(40), 1)
+                .halt()
+                .assemble()
+                .unwrap_err(),
+            bad
+        );
+        // A source register is checked as well as a destination, including
+        // the optional ordering register of a timer read.
+        assert_eq!(
+            Assembler::new()
+                .nop()
+                .read_timer_after(Reg(1), Reg(32))
+                .assemble()
+                .unwrap_err(),
+            ProgramError::BadRegister { at: 1, reg: 32 }
+        );
+        let top = Reg(Reg::COUNT as u8 - 1);
+        assert!(Assembler::new()
+            .read_timer_after(top, top)
+            .assemble()
+            .is_ok());
+    }
+
+    #[test]
     fn assemble_errors_render_readably() {
-        let e = AssembleError::TargetOutOfRange {
+        let e = ProgramError::TargetOutOfRange {
             at: 3,
             target: 9,
             len: 4,
         };
         let s = e.to_string();
         assert!(s.contains("pc 3") && s.contains('9'));
-        assert!(AssembleError::UnboundLabel { at: 0 }
+        assert!(ProgramError::UnboundLabel { at: 0 }
             .to_string()
             .contains("unbound label"));
-        let s = AssembleError::BadAccessSize { at: 2, size: 3 }.to_string();
+        let s = ProgramError::BadAccessSize { at: 2, size: 3 }.to_string();
         assert!(s.contains("pc 2") && s.contains("3 bytes"), "{s}");
+        let s = ProgramError::BadRegister { at: 4, reg: 40 }.to_string();
+        assert!(s.contains("pc 4") && s.contains("r40"), "{s}");
     }
 
     #[test]
@@ -514,7 +547,7 @@ mod tests {
 
     #[test]
     fn fetch_past_end_is_none() {
-        let p = Program::new(vec![Inst::Nop]);
+        let p = Program::new(vec![Inst::Nop]).expect("a nop is a program");
         assert!(p.fetch(0).is_some());
         assert!(p.fetch(1).is_none());
         assert!(!p.is_empty());

@@ -52,14 +52,7 @@ pub fn insert_fences(program: &Program, positions: &[usize]) -> Program {
         next_fence += 1;
     }
     Program::new(out)
-}
-
-/// Hardens a program against replay extraction by fencing immediately
-/// before every pc in `transmitter_pcs` (as classified by
-/// `microscope-analyze`): no speculation window opened by an older replay
-/// handle can reach a transmitter across its fence.
-pub fn harden(program: &Program, transmitter_pcs: &[usize]) -> Program {
-    insert_fences(program, transmitter_pcs)
+        .expect("a fence names no register and remapped targets stay within the output")
 }
 
 /// Builds the canonical leak victim: a replay-handle load followed by an

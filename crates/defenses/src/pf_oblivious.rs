@@ -34,21 +34,7 @@ pub fn make_oblivious(body: &Program, decoy_pages: &[VAddr]) -> Program {
     let mut out = Vec::with_capacity(body.len() + count);
     let mut decoy_idx = 0usize;
     for inst in body.iter() {
-        let emitted = match *inst {
-            Inst::Branch { cond, a, b, target } => Inst::Branch {
-                cond,
-                a,
-                b,
-                target: remap(target),
-            },
-            Inst::Jmp { target } => Inst::Jmp {
-                target: remap(target),
-            },
-            Inst::XBegin { abort_target } => Inst::XBegin {
-                abort_target: remap(abort_target),
-            },
-            other => other,
-        };
+        let emitted = inst.retargeted(remap);
         let was_memory = emitted.is_memory();
         out.push(emitted);
         if was_memory {
@@ -66,7 +52,7 @@ pub fn make_oblivious(body: &Program, decoy_pages: &[VAddr]) -> Program {
             });
         }
     }
-    Program::new(out)
+    Program::new(out).expect("decoy loads are 8-byte loads of DECOY_REG and targets are remapped")
 }
 
 /// The §8 evaluation row: "leak" counted as the number of candidate replay

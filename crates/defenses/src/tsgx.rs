@@ -67,6 +67,7 @@ pub fn protect(body: &Program, n: u64) -> Program {
     });
     insts.push(Inst::Halt);
     Program::new(insts)
+        .expect("body targets shift into the body and the springboard's are in range")
 }
 
 /// Outcome of attacking a T-SGX-protected victim.

@@ -176,14 +176,6 @@ impl AddressSpace {
             .map(|p| p.flags().dirty)
     }
 
-    /// Clears the Accessed and Dirty bits of the leaf PTE, if mapped.
-    pub fn clear_accessed_dirty(&self, phys: &mut PhysMem, vaddr: VAddr) {
-        if let Some(pa) = self.entry_paddr(phys, vaddr, PtLevel::Pte) {
-            let old = Pte(phys.read_u64(pa));
-            phys.write_u64(pa, old.with_accessed(false).with_dirty(false).0);
-        }
-    }
-
     /// Performs a *software* page walk: pure translation with no timing, no
     /// cache traffic and no Accessed/Dirty updates. This is both the OS's
     /// own walk (paper §5.2.2) and the reference the hardware walker is

@@ -448,16 +448,6 @@ impl AesLayout {
     pub fn all_table_lines(&self) -> Vec<VAddr> {
         (0..4).flat_map(|t| self.table_lines(t)).collect()
     }
-
-    /// The victim-virtual address a traced [`TableAccess`] touches.
-    pub fn access_addr(&self, a: &TableAccess) -> VAddr {
-        let base = if a.table == 4 {
-            self.td4
-        } else {
-            self.td[a.table as usize]
-        };
-        base.offset(u64::from(a.index) * 4)
-    }
 }
 
 /// Registers used by the compiled decryption.

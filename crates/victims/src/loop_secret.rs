@@ -36,11 +36,6 @@ pub struct LoopSecretLayout {
 }
 
 impl LoopSecretLayout {
-    /// The table line address a given secret value maps to.
-    pub fn line_for_secret(&self, secret: u64) -> VAddr {
-        self.table.offset(secret * LINE_BYTES)
-    }
-
     /// All table line addresses (probe set).
     pub fn table_line_addrs(&self) -> Vec<VAddr> {
         (0..self.table_lines)

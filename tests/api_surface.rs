@@ -25,6 +25,7 @@ fn every_error_type_is_send_sync_static() {
     assert_error_type::<microscope_bench::ArgError>();
     assert_error_type::<microscope_bench::ExportError>();
     assert_error_type::<microscope::analyze::ValidateError>();
+    assert_error_type::<microscope::cpu::ProgramError>();
 }
 
 #[test]
@@ -91,6 +92,7 @@ fn displays_follow_what_failed_colon_why() {
         .to_string(),
         microscope::analyze::ValidateError::Run(RunError::CheckpointMismatch { capture_cycle: 9 })
             .to_string(),
+        microscope::cpu::ProgramError::BadRegister { at: 0, reg: 40 }.to_string(),
     ];
     for msg in &cases {
         assert!(
@@ -111,6 +113,7 @@ fn displays_follow_what_failed_colon_why() {
     );
     assert!(cases[7].contains("--jobs"));
     assert!(cases[9].starts_with("validation run failed: checkpoint restore failed:"));
+    assert!(cases[10].contains("pc 0") && cases[10].contains("r40"));
 }
 
 #[test]
