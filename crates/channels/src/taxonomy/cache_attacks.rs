@@ -46,11 +46,7 @@ pub fn l3_prime_probe_experiment(trials: u32, seed: u64) -> Measurement {
             correct += 1;
         }
     }
-    Measurement {
-        single_trace_accuracy: f64::from(correct) / f64::from(trials),
-        trials,
-        samples_per_run: 1,
-    }
+    Measurement::from_hits(correct, trials, 1)
 }
 
 fn fresh_hw() -> HwParts {
@@ -147,10 +143,10 @@ pub fn cachezoom_experiment(trials: u32, seed: u64) -> Measurement {
             }
         }
     }
+    // Four attempts per trial, one per secret.
     Measurement {
-        single_trace_accuracy: f64::from(recovered) / f64::from(total.max(1)),
         trials,
-        samples_per_run: 4,
+        ..Measurement::from_hits(recovered, total, 4)
     }
 }
 

@@ -53,11 +53,7 @@ pub fn tlb_experiment(trials: u32, seed: u64) -> Measurement {
             correct += 1;
         }
     }
-    Measurement {
-        single_trace_accuracy: f64::from(correct) / f64::from(trials),
-        trials,
-        samples_per_run: 2,
-    }
+    Measurement::from_hits(correct, trials, 2)
 }
 
 /// DRAMA: the attacker opens a row in a bank; the victim's secret decides
@@ -104,11 +100,7 @@ pub fn drama_experiment(trials: u32, seed: u64) -> Measurement {
             correct += 1;
         }
     }
-    Measurement {
-        single_trace_accuracy: f64::from(correct) / f64::from(trials),
-        trials,
-        samples_per_run: 1,
-    }
+    Measurement::from_hits(correct, trials, 1)
 }
 
 /// CacheBleed-style L1 bank contention: the attacker claims a bank every
@@ -143,11 +135,7 @@ pub fn bank_contention_experiment(trials: u32, seed: u64) -> Measurement {
             correct += 1;
         }
     }
-    Measurement {
-        single_trace_accuracy: f64::from(correct) / f64::from(trials),
-        trials,
-        samples_per_run: 64,
-    }
+    Measurement::from_hits(correct, trials, 64)
 }
 
 /// BTB/PHT collision: the victim's secret-direction branch trains a
@@ -186,11 +174,7 @@ pub fn btb_collision_experiment(trials: u32, seed: u64) -> Measurement {
             correct += 1;
         }
     }
-    Measurement {
-        single_trace_accuracy: f64::from(correct) / f64::from(trials),
-        trials,
-        samples_per_run: 1,
-    }
+    Measurement::from_hits(correct, trials, 1)
 }
 
 /// A small helper used by tests: a victim program with a single

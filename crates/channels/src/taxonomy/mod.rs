@@ -93,7 +93,7 @@ pub struct ChannelRow {
 }
 
 /// What an experiment measured.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Measurement {
     /// Fraction of trials where a single trace recovered the secret bit.
     pub single_trace_accuracy: f64,
@@ -102,6 +102,25 @@ pub struct Measurement {
     /// Observations the attacker obtained per logical victim run (the
     /// quantity MicroScope multiplies).
     pub samples_per_run: u64,
+}
+
+impl Measurement {
+    /// The measurement of `hits` correct recoveries out of `attempts`
+    /// single-trace attempts, counting one trial per attempt (a row that
+    /// attempts several secrets per trial sets `trials` itself). With no
+    /// attempts the accuracy is 0.0: nothing was recovered.
+    pub fn from_hits(hits: u32, attempts: u32, samples_per_run: u64) -> Measurement {
+        let single_trace_accuracy = if attempts == 0 {
+            0.0
+        } else {
+            f64::from(hits) / f64::from(attempts)
+        };
+        Measurement {
+            single_trace_accuracy,
+            trials: attempts,
+            samples_per_run,
+        }
+    }
 }
 
 impl microscope_core::sweep::SweepRecord for Measurement {

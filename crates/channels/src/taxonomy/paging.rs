@@ -11,34 +11,38 @@ use microscope_mem::{AddressSpace, PhysMem, PteFlags, VAddr, PAGE_BYTES};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Builds a victim that touches `page_a` or `page_b` depending on a
+/// The page the victim touches when its secret is clear.
+const PAGE_A: VAddr = VAddr(0x100_0000);
+/// The page the victim touches when its secret is set.
+const PAGE_B: VAddr = VAddr(0x200_0000);
+/// The page holding the victim's secret bit.
+const SECRET_PAGE: VAddr = VAddr(0x300_0000);
+
+/// Builds a victim that touches `PAGE_A` or `PAGE_B` depending on a
 /// secret bit held in memory (loaded first, so the access pattern — not
 /// data flow — is what leaks).
 fn secret_access_victim(
     phys: &mut PhysMem,
     aspace: AddressSpace,
     secret: bool,
-    page_a: VAddr,
-    page_b: VAddr,
-    secret_page: VAddr,
 ) -> microscope_cpu::Program {
-    aspace.alloc_map(phys, secret_page, 8, PteFlags::user_data());
-    let t = aspace.translate(phys, secret_page, true).unwrap();
+    aspace.alloc_map(phys, SECRET_PAGE, 8, PteFlags::user_data());
+    let t = aspace.translate(phys, SECRET_PAGE, true).unwrap();
     phys.write_u64(t.paddr, u64::from(secret));
 
     let (s, z, p, v) = (Reg(1), Reg(2), Reg(3), Reg(4));
     let mut asm = Assembler::new();
     let take_b = asm.label();
     let out = asm.label();
-    asm.imm(s, secret_page.0)
+    asm.imm(s, SECRET_PAGE.0)
         .load(s, s, 0)
         .imm(z, 0)
         .branch(Cond::Ne, s, z, take_b)
-        .imm(p, page_a.0)
+        .imm(p, PAGE_A.0)
         .load(v, p, 0)
         .jmp(out);
     asm.bind(take_b);
-    asm.imm(p, page_b.0).load(v, p, 0);
+    asm.imm(p, PAGE_B.0).load(v, p, 0);
     asm.bind(out);
     asm.halt();
     asm.finish()
@@ -73,32 +77,14 @@ impl Supervisor for RecordingPager {
 /// zero noise).
 pub fn controlled_channel_experiment(trials: u32, seed: u64) -> Measurement {
     let mut rng = StdRng::seed_from_u64(seed);
+    // A run draws nothing from `rng`, so its observation depends only on
+    // the secret: each secret runs once, on its first draw.
+    let mut seen = [None; 2];
     let mut correct = 0;
     for _ in 0..trials {
         let secret = rng.gen_bool(0.5);
-        let mut phys = PhysMem::new();
-        let aspace = AddressSpace::new(&mut phys, 1);
-        let page_a = VAddr(0x100_0000);
-        let page_b = VAddr(0x200_0000);
-        let prog =
-            secret_access_victim(&mut phys, aspace, secret, page_a, page_b, VAddr(0x300_0000));
-        // Neither page is mapped: the access itself faults.
-        let pager = RecordingPager {
-            aspace,
-            fault_pages: Vec::new(),
-        };
-        let mut m = MachineBuilder::new()
-            .phys(phys)
-            .context_in(prog, aspace)
-            .supervisor(Box::new(pager))
-            .build();
-        m.run(2_000_000);
-        assert!(m.context(ContextId(0)).halted());
-        // Read the observation back out: which page did the OS see fault?
-        // (The pager was moved into the machine; infer from page tables —
-        // exactly one of the two pages is now mapped.)
-        let a_mapped = aspace.translate(&m.hw().phys, page_a, false).is_ok();
-        let b_mapped = aspace.translate(&m.hw().phys, page_b, false).is_ok();
+        let (a_mapped, b_mapped) =
+            *seen[usize::from(secret)].get_or_insert_with(|| controlled_observation(secret));
         let guess = match (a_mapped, b_mapped) {
             (false, true) => true,
             (true, false) => false,
@@ -111,11 +97,32 @@ pub fn controlled_channel_experiment(trials: u32, seed: u64) -> Measurement {
             correct += 1;
         }
     }
-    Measurement {
-        single_trace_accuracy: f64::from(correct) / f64::from(trials),
-        trials,
-        samples_per_run: 1,
-    }
+    Measurement::from_hits(correct, trials, 1)
+}
+
+/// One controlled-channel run on `secret`: whether page A and page B are
+/// mapped once the victim halts, i.e. which of them the OS saw fault.
+fn controlled_observation(secret: bool) -> (bool, bool) {
+    let mut phys = PhysMem::new();
+    let aspace = AddressSpace::new(&mut phys, 1);
+    let prog = secret_access_victim(&mut phys, aspace, secret);
+    // Neither page is mapped: the access itself faults.
+    let pager = RecordingPager {
+        aspace,
+        fault_pages: Vec::new(),
+    };
+    let mut m = MachineBuilder::new()
+        .phys(phys)
+        .context_in(prog, aspace)
+        .supervisor(Box::new(pager))
+        .build();
+    m.run(2_000_000);
+    assert!(m.context(ContextId(0)).halted());
+    // Read the observation back out: which page did the OS see fault?
+    // (The pager was moved into the machine; infer from page tables —
+    // exactly one of the two pages is now mapped.)
+    let mapped = |page| aspace.translate(&m.hw().phys, page, false).is_ok();
+    (mapped(PAGE_A), mapped(PAGE_B))
 }
 
 /// Sneaky Page Monitoring: pages stay mapped; the OS clears Accessed bits
@@ -123,25 +130,15 @@ pub fn controlled_channel_experiment(trials: u32, seed: u64) -> Measurement {
 /// page-granular and noiseless.
 pub fn spm_experiment(trials: u32, seed: u64) -> Measurement {
     let mut rng = StdRng::seed_from_u64(seed);
+    // A run draws nothing from `rng`, so its A bits depend only on the
+    // secret: each secret runs once, on its first draw. The coin flip
+    // stays per trial.
+    let mut seen = [None; 2];
     let mut correct = 0;
     for _ in 0..trials {
         let secret = rng.gen_bool(0.5);
-        let mut phys = PhysMem::new();
-        let aspace = AddressSpace::new(&mut phys, 1);
-        let page_a = VAddr(0x100_0000);
-        let page_b = VAddr(0x200_0000);
-        aspace.alloc_map(&mut phys, page_a, PAGE_BYTES, PteFlags::user_data());
-        aspace.alloc_map(&mut phys, page_b, PAGE_BYTES, PteFlags::user_data());
-        let prog =
-            secret_access_victim(&mut phys, aspace, secret, page_a, page_b, VAddr(0x300_0000));
-        // OS clears A bits (it just mapped them, so they are clear).
-        let mut m = MachineBuilder::new()
-            .phys(phys)
-            .context_in(prog, aspace)
-            .build();
-        m.run(2_000_000);
-        let a_bit = aspace.accessed(&m.hw().phys, page_a).unwrap();
-        let b_bit = aspace.accessed(&m.hw().phys, page_b).unwrap();
+        let (a_bit, b_bit) =
+            *seen[usize::from(secret)].get_or_insert_with(|| spm_observation(secret));
         let guess = match (a_bit, b_bit) {
             (false, true) => true,
             (true, false) => false,
@@ -153,16 +150,86 @@ pub fn spm_experiment(trials: u32, seed: u64) -> Measurement {
             correct += 1;
         }
     }
-    Measurement {
-        single_trace_accuracy: f64::from(correct) / f64::from(trials),
-        trials,
-        samples_per_run: 1,
-    }
+    Measurement::from_hits(correct, trials, 1)
+}
+
+/// One SPM run on `secret`: the Accessed bits of page A and page B once
+/// the run ends.
+fn spm_observation(secret: bool) -> (bool, bool) {
+    let mut phys = PhysMem::new();
+    let aspace = AddressSpace::new(&mut phys, 1);
+    aspace.alloc_map(&mut phys, PAGE_A, PAGE_BYTES, PteFlags::user_data());
+    aspace.alloc_map(&mut phys, PAGE_B, PAGE_BYTES, PteFlags::user_data());
+    let prog = secret_access_victim(&mut phys, aspace, secret);
+    // OS clears A bits (it just mapped them, so they are clear).
+    let mut m = MachineBuilder::new()
+        .phys(phys)
+        .context_in(prog, aspace)
+        .build();
+    m.run(2_000_000);
+    let accessed = |page| aspace.accessed(&m.hw().phys, page).unwrap();
+    (accessed(PAGE_A), accessed(PAGE_B))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The controlled-channel trial loop before each secret ran at most
+    /// once: one run per trial.
+    fn controlled_channel_oracle(trials: u32, seed: u64) -> Measurement {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut correct = 0;
+        for _ in 0..trials {
+            let secret = rng.gen_bool(0.5);
+            let guess = match controlled_observation(secret) {
+                (false, true) => true,
+                (true, false) => false,
+                _ => !secret,
+            };
+            if guess == secret {
+                correct += 1;
+            }
+        }
+        Measurement::from_hits(correct, trials, 1)
+    }
+
+    /// The SPM trial loop before each secret ran at most once: one run
+    /// per trial, then the same coin flip on an ambiguous observation.
+    fn spm_oracle(trials: u32, seed: u64) -> Measurement {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut correct = 0;
+        for _ in 0..trials {
+            let secret = rng.gen_bool(0.5);
+            let guess = match spm_observation(secret) {
+                (false, true) => true,
+                (true, false) => false,
+                _ => rng.gen_bool(0.5),
+            };
+            if guess == secret {
+                correct += 1;
+            }
+        }
+        Measurement::from_hits(correct, trials, 1)
+    }
+
+    #[test]
+    fn page_channels_measure_what_a_run_per_trial_measured() {
+        for seed in [0, 1, 42, 45, 0xdecade + 30] {
+            for trials in [1, 4, 10, 30] {
+                assert_eq!(
+                    controlled_channel_experiment(trials, seed),
+                    controlled_channel_oracle(trials, seed),
+                    "controlled: seed {seed}, {trials} trials"
+                );
+                assert_eq!(
+                    spm_experiment(trials, seed),
+                    spm_oracle(trials, seed),
+                    "spm: seed {seed}, {trials} trials"
+                );
+            }
+        }
+    }
 
     #[test]
     fn controlled_channel_is_noiseless() {

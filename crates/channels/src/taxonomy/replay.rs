@@ -31,11 +31,7 @@ pub fn portsmash_experiment(trials: u32, seed: u64) -> Measurement {
             correct += 1;
         }
     }
-    Measurement {
-        single_trace_accuracy: f64::from(correct) / f64::from(trials),
-        trials,
-        samples_per_run: 200,
-    }
+    Measurement::from_hits(correct, trials, 200)
 }
 
 /// Runs the control-flow victim ONCE (honest OS, no replay handle) while
@@ -73,46 +69,122 @@ fn one_shot_samples(secret: bool, jitter: u64) -> Vec<u64> {
     report.monitor_samples
 }
 
+/// The MicroScope row's attack: port contention with the victim's window
+/// replayed in one logical run.
+const MICROSCOPE_ATTACK: PortContentionConfig = PortContentionConfig {
+    samples: 600,
+    replays: 500,
+    handler_cycles: 300,
+    // A short walk maximizes the divider duty cycle per replay.
+    walk: WalkTuning::Length { levels: 1 },
+    max_cycles: 60_000_000,
+    // Same ambient noise the one-shot attacker faces, so the
+    // comparison is apples to apples.
+    ambient_interrupt_retires: Some(2_000),
+    probe: None,
+};
+
 /// The same channel under MicroScope: the victim's window replays a few
 /// hundred times within one logical run; classification becomes reliable.
 pub fn microscope_experiment(trials: u32, seed: u64) -> Measurement {
+    microscope_trials(trials, seed, microscope_run)
+}
+
+/// The monitor samples of one cold [`MICROSCOPE_ATTACK`] run on `secret`.
+fn microscope_run(secret: bool) -> Vec<u64> {
+    port_contention::run_attack(secret, &MICROSCOPE_ATTACK).monitor_samples
+}
+
+/// [`microscope_experiment`] over `run`, the monitor samples of one cold
+/// attack run on a secret bit. The attack is fixed and the simulator
+/// deterministic, so a trial's samples depend only on its secret: a
+/// `false` trial sees the calibration run again, and `true` runs once, on
+/// its first draw. The row makes at most two runs, whatever `trials` is.
+fn microscope_trials(trials: u32, seed: u64, mut run: impl FnMut(bool) -> Vec<u64>) -> Measurement {
     let mut rng = StdRng::seed_from_u64(seed);
-    let cfg = PortContentionConfig {
-        samples: 600,
-        replays: 500,
-        handler_cycles: 300,
-        // A short walk maximizes the divider duty cycle per replay.
-        walk: WalkTuning::Length { levels: 1 },
-        max_cycles: 60_000_000,
-        // Same ambient noise the one-shot attacker faces, so the
-        // comparison is apples to apples.
-        ambient_interrupt_retires: Some(2_000),
-        probe: None,
-    };
     // Calibrate on a known-mul victim, replayed the same way.
-    let baseline = port_contention::run_attack(false, &cfg).monitor_samples;
+    let baseline = run(false);
     let threshold = denoise::calibrate_threshold(&baseline[4..], 0.99, 2);
     let base_over = denoise::count_over(&baseline[4..], threshold);
+    let mut secret_over = None;
     let mut correct = 0;
     for _ in 0..trials {
         let secret = rng.gen_bool(0.5);
-        let samples = port_contention::run_attack(secret, &cfg).monitor_samples;
-        let over = denoise::count_over(&samples[4..], threshold);
+        let over = if secret {
+            *secret_over.get_or_insert_with(|| denoise::count_over(&run(true)[4..], threshold))
+        } else {
+            base_over
+        };
         let guess = over > 4 * base_over.max(1);
         if guess == secret {
             correct += 1;
         }
     }
-    Measurement {
-        single_trace_accuracy: f64::from(correct) / f64::from(trials),
-        trials,
-        samples_per_run: cfg.samples,
-    }
+    Measurement::from_hits(correct, trials, MICROSCOPE_ATTACK.samples)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The row's trial loop before it ran each secret at most once: one
+    /// `run` per trial after the calibration run.
+    fn microscope_trials_oracle(
+        trials: u32,
+        seed: u64,
+        mut run: impl FnMut(bool) -> Vec<u64>,
+    ) -> Measurement {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let baseline = run(false);
+        let threshold = denoise::calibrate_threshold(&baseline[4..], 0.99, 2);
+        let base_over = denoise::count_over(&baseline[4..], threshold);
+        let mut correct = 0;
+        for _ in 0..trials {
+            let secret = rng.gen_bool(0.5);
+            let samples = run(secret);
+            let over = denoise::count_over(&samples[4..], threshold);
+            let guess = over > 4 * base_over.max(1);
+            if guess == secret {
+                correct += 1;
+            }
+        }
+        Measurement::from_hits(correct, trials, MICROSCOPE_ATTACK.samples)
+    }
+
+    #[test]
+    fn microscope_runs_each_secret_at_most_once_and_measures_the_same() {
+        // The premise: a cold run's samples depend only on the secret.
+        let runs = [microscope_run(false), microscope_run(true)];
+        assert_eq!(microscope_run(false), runs[0]);
+        assert_eq!(microscope_run(true), runs[1]);
+        // The row against the old loop, both over real runs.
+        let (trials, seed) = (4, 12);
+        assert_eq!(
+            microscope_experiment(trials, seed),
+            microscope_trials_oracle(trials, seed, microscope_run)
+        );
+        // The loop against the old one at many seeds and trial counts,
+        // counting runs (each answered from `runs`, as a real run would).
+        for seed in [0, 1, 12, 0xdecade + 10, 903] {
+            for trials in [1, 4, 10, 30] {
+                let (mut old_runs, mut new_runs) = (0, 0);
+                let old = microscope_trials_oracle(trials, seed, |secret| {
+                    old_runs += 1;
+                    runs[usize::from(secret)].clone()
+                });
+                let new = microscope_trials(trials, seed, |secret| {
+                    new_runs += 1;
+                    runs[usize::from(secret)].clone()
+                });
+                assert_eq!(new, old, "seed {seed}, {trials} trials");
+                assert_eq!(old_runs, trials + 1);
+                assert!(
+                    new_runs <= 2,
+                    "seed {seed}, {trials} trials: {new_runs} runs"
+                );
+            }
+        }
+    }
 
     #[test]
     fn microscope_is_near_perfect_where_one_shot_is_not() {

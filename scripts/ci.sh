@@ -98,6 +98,25 @@ for pin in quickstart:216888620:807 aes_attack:4088800818:503 \
     echo "example $example stdout cksum $got"
 done
 
+echo "== Table 1: pinned stdout =="
+# The rendered Table 1 at default arguments, at 1 worker and at 2: a
+# speed-up in a catalog row must print the same table byte for byte. The
+# binary's shape checks gate the exit code; stderr carries the sweep
+# timing line and is not pinned. A deliberate change to a row re-pins the
+# cksum in the same commit and says why.
+TABLE1_OUT="${TMPDIR:-/tmp}/table1.out"
+for jobs in 1 2; do
+    cargo run -q --release -p microscope-bench --bin table1 -- \
+        --jobs "$jobs" >"$TABLE1_OUT" 2>/dev/null
+    got=$(cksum <"$TABLE1_OUT")
+    if [ "$got" != "16818865 2217" ]; then
+        echo "error: table1 --jobs $jobs stdout cksum $got, pinned 16818865 2217" >&2
+        exit 1
+    fi
+    echo "table1 --jobs $jobs stdout cksum $got"
+done
+rm -f "$TABLE1_OUT"
+
 echo "== analyzer smoke: sec8_analyze --audit-defenses, pinned stdout =="
 # Static plans for all 8 victims, simulator confirmation for 4, and the
 # fence audit (zero open windows + no replay amplification) — the
