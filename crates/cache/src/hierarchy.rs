@@ -255,21 +255,28 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Builds an eviction set for `target` in the L3: `ways` distinct line
-    /// addresses, drawn from `pool_base` upward, that map to the same L3 set.
-    /// Accessing all of them evicts `target` from the whole (inclusive)
-    /// hierarchy. This is the paper's "priming the caches" primitive
-    /// expressed without privileged flushes.
+    /// Builds an eviction set for `target` in the L3: the first `ways` line
+    /// addresses at or above `pool_base`'s line that map to the target's L3
+    /// set, skipping the target's own line, in ascending order. Accessing all
+    /// of them evicts `target` from the whole (inclusive) hierarchy. This is
+    /// the paper's "priming the caches" primitive expressed without
+    /// privileged flushes.
+    ///
+    /// Costs O(ways): a line's L3 set is its number modulo the power-of-two
+    /// set count, so the congruent lines are computed, not searched for.
     pub fn l3_eviction_set(&self, target: PAddr, pool_base: PAddr) -> Vec<PAddr> {
-        let tgt_set = self.l3.set_index(target.line());
+        let sets = self.cfg.l3.sets as u64;
         let ways = self.cfg.l3.ways;
+        let target = target.line().0;
+        let base = pool_base.line().0;
+        // The lowest line >= base congruent to the target modulo `sets`.
+        let mut line = base + (target.wrapping_sub(base) & (sets - 1));
         let mut out = Vec::with_capacity(ways);
-        let mut line = pool_base.line();
         while out.len() < ways {
-            if self.l3.set_index(line) == tgt_set && line != target.line() {
-                out.push(line.base());
+            if line != target {
+                out.push(LineAddr(line).base());
             }
-            line = line.offset(1);
+            line += sets;
         }
         out
     }

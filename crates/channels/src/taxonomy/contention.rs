@@ -5,7 +5,7 @@
 
 use super::Measurement;
 use microscope_cache::{HierarchyConfig, LineAddr, MemoryHierarchy, PAddr};
-use microscope_cpu::{Assembler, BranchPredictor, Cond, PredictorConfig, Reg};
+use microscope_cpu::{BranchPredictor, PredictorConfig};
 use microscope_mem::{PteFlags, Tlb, TlbConfig, TlbEntry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -177,23 +177,6 @@ pub fn btb_collision_experiment(trials: u32, seed: u64) -> Measurement {
     Measurement::from_hits(correct, trials, 1)
 }
 
-/// A small helper used by tests: a victim program with a single
-/// secret-direction branch at a controllable pc (padding with nops).
-#[allow(dead_code)]
-pub fn branch_victim(pad: usize, taken: bool) -> microscope_cpu::Program {
-    let (s, z) = (Reg(1), Reg(2));
-    let mut asm = Assembler::new();
-    for _ in 0..pad {
-        asm.nop();
-    }
-    let t = asm.label();
-    asm.imm(s, u64::from(taken)).imm(z, 0);
-    asm.branch(Cond::Ne, s, z, t);
-    asm.bind(t);
-    asm.halt();
-    asm.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,11 +203,5 @@ mod tests {
     fn btb_collision_leaks_direction() {
         let m = btb_collision_experiment(40, 10);
         assert!(m.single_trace_accuracy > 0.6, "{m:?}");
-    }
-
-    #[test]
-    fn branch_victim_assembles() {
-        let p = branch_victim(5, true);
-        assert!(p.len() > 5);
     }
 }

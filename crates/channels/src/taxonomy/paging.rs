@@ -48,16 +48,15 @@ fn secret_access_victim(
     asm.finish()
 }
 
-/// A pager that records which pages fault before honestly servicing them —
-/// the Xu-et-al. controlled channel.
-struct RecordingPager {
+/// A pager that honestly maps each faulting page — the Xu-et-al. controlled
+/// channel. The OS's observation is which pages it mapped, read back from
+/// the page tables once the victim halts.
+struct ServicingPager {
     aspace: AddressSpace,
-    fault_pages: Vec<u64>,
 }
 
-impl Supervisor for RecordingPager {
+impl Supervisor for ServicingPager {
     fn on_page_fault(&mut self, hw: &mut HwParts, ev: &FaultEvent) -> SupervisorAction {
-        self.fault_pages.push(ev.fault.vaddr.vpn());
         if self
             .aspace
             .set_present(&mut hw.phys, ev.fault.vaddr, true)
@@ -107,10 +106,7 @@ fn controlled_observation(secret: bool) -> (bool, bool) {
     let aspace = AddressSpace::new(&mut phys, 1);
     let prog = secret_access_victim(&mut phys, aspace, secret);
     // Neither page is mapped: the access itself faults.
-    let pager = RecordingPager {
-        aspace,
-        fault_pages: Vec::new(),
-    };
+    let pager = ServicingPager { aspace };
     let mut m = MachineBuilder::new()
         .phys(phys)
         .context_in(prog, aspace)

@@ -138,9 +138,12 @@ for jobs in 1 2; do
 done
 rm -f "$ANALYZE_OUT"
 
-echo "== analyzer soundness and planner equivalence properties =="
+echo "== analyzer soundness, planner and eviction-set equivalence properties =="
 cargo test -q --release --test analyze_soundness
 cargo test -q --release -p microscope-analyze --test plan_equivalence
+# The O(ways) L3 eviction set returns exactly the lines the old pool scan
+# found, in the same order.
+cargo test -q --release -p microscope-cache --test eviction_set
 # Any instruction vector is a Program or a typed ProgramError, and build,
 # execute and analyze never panic on a Program.
 cargo test -q --release --test program_fuzz
