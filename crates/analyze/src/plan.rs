@@ -33,7 +33,7 @@ impl fmt::Display for Channel {
 
 /// A classified transmitter: an instruction whose execution leaks secret
 /// state through a microarchitectural channel.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Transmitter {
     /// Program index.
     pub pc: usize,
@@ -63,7 +63,7 @@ pub enum HandleKind {
 }
 
 /// A replay-handle candidate.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Handle {
     /// Program index of the handle instruction.
     pub pc: usize,
@@ -89,7 +89,7 @@ impl fmt::Display for Handle {
 /// One statically predicted attack: replay `handle`, observe
 /// `transmitter` through `channel`, `distance` instructions into the
 /// speculative window.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AttackPlan {
     /// The replay handle.
     pub handle: Handle,
@@ -132,7 +132,7 @@ impl fmt::Display for AttackPlan {
 }
 
 /// The full static-analysis result for one victim program.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AnalysisReport {
     /// Victim name (caller-provided).
     pub victim: String,

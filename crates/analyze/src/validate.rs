@@ -66,10 +66,10 @@ pub struct PlanValidation {
     pub confirmed: bool,
     /// Result of re-running the attack from the armed
     /// [`MachineCheckpoint`](microscope_cpu::MachineCheckpoint) instead
-    /// of from cold: `Some(true)` when the re-run reproduced the same
-    /// replay and issue counts (the fast path is trustworthy for this
-    /// plan), `None` when the handle never armed so there was no
-    /// checkpoint to re-run from.
+    /// of from cold: `Some(true)` when the re-run's report equals the cold
+    /// one and the transmitter issued as often again (the fast path is
+    /// trustworthy for this plan), `None` when the handle never armed so
+    /// there was no checkpoint to re-run from.
     pub replay_reconfirmed: Option<bool>,
 }
 
@@ -143,10 +143,7 @@ pub fn validate_plan(
     let replay_reconfirmed = session
         .execute(RunRequest::cold(max_cycles).from_checkpoint())
         .ok()
-        .map(|again| {
-            victim_issues(&session, plan.transmitter.pc) == executions
-                && again.module.replays.iter().sum::<u64>() == replays
-        });
+        .map(|again| again == report && victim_issues(&session, plan.transmitter.pc) == executions);
     Ok(PlanValidation {
         handle_pc: plan.handle.pc,
         transmitter_pc: plan.transmitter.pc,

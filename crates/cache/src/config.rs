@@ -66,6 +66,36 @@ pub struct HierarchyConfig {
 }
 
 impl HierarchyConfig {
+    /// Checks the rules the models' constructors assert, which a struct
+    /// literal bypasses: every `sets`, `l1_banks`, `dram.banks` and
+    /// `dram.lines_per_row` is a power of two, and every `ways` non-zero.
+    ///
+    /// # Errors
+    ///
+    /// The first field, in that order, that breaks its rule, as its path
+    /// inside this struct (`"l2.sets"`, `"dram.banks"`) and its value.
+    pub fn check(&self) -> Result<(), (&'static str, u64)> {
+        let (l1, l2, l3, dram) = (self.l1, self.l2, self.l3, self.dram);
+        let powers_of_two = [
+            ("l1.sets", l1.sets as u64),
+            ("l2.sets", l2.sets as u64),
+            ("l3.sets", l3.sets as u64),
+            ("l1_banks", self.l1_banks as u64),
+            ("dram.banks", dram.banks as u64),
+            ("dram.lines_per_row", dram.lines_per_row),
+        ];
+        let ways = [
+            ("l1.ways", l1.ways as u64),
+            ("l2.ways", l2.ways as u64),
+            ("l3.ways", l3.ways as u64),
+        ];
+        let bad_power = powers_of_two
+            .into_iter()
+            .find(|&(_, v)| !v.is_power_of_two());
+        let no_ways = ways.into_iter().find(|&(_, w)| w == 0);
+        bad_power.or(no_ways).map_or(Ok(()), Err)
+    }
+
     /// A tiny hierarchy for fast unit tests: direct-mapped-ish caches with
     /// the same latency *ordering* as the default.
     pub fn tiny() -> Self {
@@ -104,6 +134,17 @@ mod tests {
         assert_eq!(cfg.l2.capacity_bytes(), 256 * 1024);
         assert!(cfg.l1.hit_latency < cfg.l2.hit_latency);
         assert!(cfg.l2.hit_latency < cfg.l3.hit_latency);
+    }
+
+    #[test]
+    fn check_names_the_first_broken_field() {
+        assert_eq!(HierarchyConfig::default().check(), Ok(()));
+        assert_eq!(HierarchyConfig::tiny().check(), Ok(()));
+        let mut cfg = HierarchyConfig::default();
+        cfg.l1.ways = 0;
+        assert_eq!(cfg.check(), Err(("l1.ways", 0)));
+        cfg.dram.banks = 3;
+        assert_eq!(cfg.check(), Err(("dram.banks", 3)), "sets and banks first");
     }
 
     #[test]

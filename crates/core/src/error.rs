@@ -10,6 +10,8 @@
 //! [`std::error::Error::source`], and every type is `Send + Sync +
 //! 'static` (pinned by `tests/api_surface.rs`).
 
+use crate::report::AttackReport;
+use microscope_mem::VAddr;
 use std::error::Error;
 use std::fmt;
 
@@ -22,6 +24,24 @@ pub enum BuildError {
     /// ([`SessionBuilder::victim`](crate::SessionBuilder::victim) was
     /// never called) — there is nothing to attack.
     NoVictim,
+    /// A monitor sample buffer slot does not translate in the monitor's
+    /// address space, so the report could not read it back. Names the
+    /// first such 8-byte slot, or the buffer base when the buffer's end
+    /// overflows the address space.
+    MonitorBufferUnmapped {
+        /// The first slot that does not translate.
+        vaddr: VAddr,
+    },
+    /// A hierarchy field breaks the rule its model needs: cache `sets`,
+    /// `l1_banks`, `dram.banks` and `dram.lines_per_row` must be powers of
+    /// two, and cache `ways` non-zero (see
+    /// [`HierarchyConfig::check`](microscope_cache::HierarchyConfig::check)).
+    InvalidConfig {
+        /// The field, as a path inside `SimConfig::hierarchy`.
+        field: &'static str,
+        /// Its value.
+        value: u64,
+    },
 }
 
 impl fmt::Display for BuildError {
@@ -34,6 +54,18 @@ impl fmt::Display for BuildError {
                      (call SessionBuilder::victim first)"
                 )
             }
+            BuildError::MonitorBufferUnmapped { vaddr } => {
+                write!(
+                    f,
+                    "session build failed: monitor buffer slot {vaddr} is unmapped"
+                )
+            }
+            BuildError::InvalidConfig { field, value } => {
+                write!(
+                    f,
+                    "session build failed: hierarchy.{field} = {value} breaks its rule"
+                )
+            }
         }
     }
 }
@@ -42,7 +74,8 @@ impl Error for BuildError {}
 
 /// Why [`AttackSession::execute`](crate::AttackSession::execute) could not
 /// carry out a [`RunRequest`](crate::RunRequest).
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Not `Eq`: a divergence carries reports, whose metrics hold `f64`s.
+#[derive(Clone, Debug, PartialEq)]
 #[non_exhaustive]
 pub enum RunError {
     /// The request needs a monitor context, but none was installed via
@@ -69,12 +102,12 @@ pub enum RunError {
     /// run found the cycle-by-cycle and fast-forwarded reports different:
     /// a simulator soundness bug, never a property of the workload.
     CrossCheckDiverged {
-        /// Offset of the first differing byte of the two `Debug` renderings.
-        byte: usize,
-        /// The cycle-by-cycle rendering around `byte`.
-        cycle_by_cycle: String,
-        /// The fast-forwarded rendering around `byte`.
-        fast_forward: String,
+        /// The first [`AttackReport`] field, in declaration order, that differs.
+        field: &'static str,
+        /// The cycle-by-cycle report.
+        cycle_by_cycle: Box<AttackReport>,
+        /// The fast-forwarded report.
+        fast_forward: Box<AttackReport>,
     },
 }
 
@@ -103,16 +136,11 @@ impl fmt::Display for RunError {
                      supervisor does not recognize (swapped since capture)"
                 )
             }
-            RunError::CrossCheckDiverged {
-                byte,
-                cycle_by_cycle,
-                fast_forward,
-            } => {
+            RunError::CrossCheckDiverged { field, .. } => {
                 write!(
                     f,
-                    "fast-forward cross-check failed: the reports diverge at \
-                     byte {byte}\n  cycle-by-cycle: …{cycle_by_cycle}…\n  \
-                     fast-forward:   …{fast_forward}…"
+                    "fast-forward cross-check failed: the reports differ first \
+                     in `{field}`"
                 )
             }
         }

@@ -5,7 +5,7 @@ use microscope_os::ModuleShared;
 use microscope_probe::{Event, EventKind, MetricSet};
 
 /// Everything the attacker has after one session run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AttackReport {
     /// Why the run ended.
     pub exit: RunExit,

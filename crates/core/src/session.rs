@@ -5,7 +5,7 @@ use crate::error::{BuildError, RunError};
 use crate::report::AttackReport;
 use microscope_cpu::{ContextId, Machine, MachineBuilder, MachineCheckpoint, Program, RunExit};
 use microscope_enclave::{Enclave, EnclaveRegion};
-use microscope_mem::{AddressSpace, PhysMem, VAddr};
+use microscope_mem::{AddressSpace, PhysMem, VAddr, PAGE_BYTES};
 use microscope_os::{Kernel, MicroScopeModule, Process, SharedHandle};
 use microscope_probe::{metrics::MetricSource, EventKind, MetricSet, Probe, RecorderConfig};
 
@@ -124,9 +124,21 @@ impl SessionBuilder {
 
     /// Assembles the machine, arms the module, installs the kernel.
     ///
-    /// Fails with [`BuildError::NoVictim`] when no victim was installed.
+    /// Fails with [`BuildError::NoVictim`] when no victim was installed,
+    /// [`BuildError::InvalidConfig`] when a hierarchy field breaks its rule,
+    /// and [`BuildError::MonitorBufferUnmapped`] when a monitor buffer slot
+    /// does not translate.
     pub fn build(self) -> Result<AttackSession, BuildError> {
         let (victim_prog, victim_asp) = self.victim.ok_or(BuildError::NoVictim)?;
+        self.sim
+            .hierarchy
+            .check()
+            .map_err(|(field, value)| BuildError::InvalidConfig { field, value })?;
+        if let Some((_, asp, Some(buf))) = &self.monitor {
+            if let Some(vaddr) = first_unmapped_slot(&self.phys, asp, *buf) {
+                return Err(BuildError::MonitorBufferUnmapped { vaddr });
+            }
+        }
         let shared = self.module.shared();
         let probe = Probe::new(self.probe.unwrap_or_else(RecorderConfig::disabled));
         let mut mb = MachineBuilder::new()
@@ -196,7 +208,7 @@ impl SessionBuilder {
 /// * [`RunRequest::until_monitor_done`] — stop when the monitor context
 ///   halts (the victim may still be captive under replay);
 /// * [`RunRequest::cross_checked`] — execute the window twice, with and
-///   without idle-cycle fast-forward, and verify the reports agree.
+///   without idle-cycle fast-forward, and verify the reports are equal.
 ///
 /// ```
 /// use microscope_core::RunRequest;
@@ -241,8 +253,10 @@ impl RunRequest {
     }
 
     /// Runs the post-arm window twice — cycle-by-cycle and fast-forwarded —
-    /// and fails with [`RunError::CrossCheckDiverged`] when the reports
-    /// differ (a simulator soundness bug, never a workload property).
+    /// and returns the fast-forwarded report when the two are equal (`==`);
+    /// otherwise fails with [`RunError::CrossCheckDiverged`], naming the
+    /// first field that differs (a simulator soundness bug, never a
+    /// workload property).
     /// Implies [`RunRequest::from_checkpoint`]; the stop condition follows
     /// the session (monitor-done when a monitor is installed, every context
     /// halted otherwise, and the cycle budget either way).
@@ -337,22 +351,20 @@ impl AttackSession {
     /// * [`RunError::CheckpointMismatch`] — the supervisor was swapped
     ///   since the capture;
     /// * [`RunError::CrossCheckDiverged`] — a `.cross_checked()` request
-    ///   found the cycle-by-cycle and fast-forwarded executions different.
+    ///   found the cycle-by-cycle and fast-forwarded reports unequal.
     pub fn execute(&mut self, req: RunRequest) -> Result<AttackReport, RunError> {
         let max_cycles = req.max_cycles();
         if req.is_cross_checked() {
             // Re-execute the post-arm window twice — once with the
             // reference cycle-by-cycle loop, once with idle-cycle
-            // fast-forward — and return the fast report once it agrees.
+            // fast-forward — and return the fast report if the two are equal.
             let orig_ff = self.machine.config().fast_forward;
             self.machine.set_fast_forward(false);
             let reference = self.run_window(true, self.monitor_ctx, max_cycles);
             self.machine.set_fast_forward(true);
             let fast = self.run_window(true, self.monitor_ctx, max_cycles);
             self.machine.set_fast_forward(orig_ff);
-            let fast = fast?;
-            compare_reports(&reference?, &fast)?;
-            return Ok(fast);
+            return compare_reports(reference?, fast?);
         }
         let monitor = if req.is_until_monitor_done() {
             Some(self.monitor_ctx.ok_or(RunError::NoMonitor {
@@ -507,72 +519,186 @@ impl AttackSession {
     }
 }
 
-/// The cross-check relation: two reports agree when their full `Debug`
-/// renderings are byte-identical. On a difference the error carries the
-/// first differing byte and up to 80 bytes either side of it from each.
+/// The first 8-byte slot of `buf` whose address does not translate in
+/// `aspace`, or `buf.base` when the buffer's end overflows. A slot's
+/// translation depends only on its page, so one slot per page is walked.
+fn first_unmapped_slot(phys: &PhysMem, aspace: &AddressSpace, buf: MonitorBuffer) -> Option<VAddr> {
+    let Some(end) = (buf.samples.checked_mul(8)).and_then(|len| buf.base.0.checked_add(len)) else {
+        return Some(buf.base);
+    };
+    let mut slot = buf.base.0;
+    while slot < end {
+        if aspace.translate(phys, VAddr(slot), false).is_err() {
+            return Some(VAddr(slot));
+        }
+        // The first slot on the next page; none is left past `u64::MAX`.
+        slot = slot.checked_add((PAGE_BYTES - slot % PAGE_BYTES).div_ceil(8) * 8)?;
+    }
+    None
+}
+
+/// The cross-check relation: equal (`==`) reports give the fast one back.
+/// The destructure lists every field, so one added to [`AttackReport`]
+/// does not compile until it is compared here.
 fn compare_reports(
-    cycle_by_cycle: &AttackReport,
-    fast_forward: &AttackReport,
-) -> Result<(), RunError> {
-    let (a, b) = (format!("{cycle_by_cycle:?}"), format!("{fast_forward:?}"));
-    let Some(byte) = (a.bytes().zip(b.bytes()).position(|(x, y)| x != y))
-        .or_else(|| (a.len() != b.len()).then(|| a.len().min(b.len())))
-    else {
-        return Ok(());
-    };
-    let excerpt = |s: &str| {
-        let bytes = &s.as_bytes()[byte.saturating_sub(80)..(byte + 80).min(s.len())];
-        String::from_utf8_lossy(bytes).into_owned()
-    };
-    Err(RunError::CrossCheckDiverged {
-        byte,
-        cycle_by_cycle: excerpt(&a),
-        fast_forward: excerpt(&b),
-    })
+    cycle_by_cycle: AttackReport,
+    fast_forward: AttackReport,
+) -> Result<AttackReport, RunError> {
+    let AttackReport {
+        exit,
+        cycles,
+        module,
+        stats,
+        monitor_samples,
+        div_stats,
+        trace,
+        dropped_events,
+        metrics,
+    } = &cycle_by_cycle;
+    let f = &fast_forward;
+    let fields = [
+        ("exit", *exit == f.exit),
+        ("cycles", *cycles == f.cycles),
+        ("module", *module == f.module),
+        ("stats", *stats == f.stats),
+        ("monitor_samples", *monitor_samples == f.monitor_samples),
+        ("div_stats", *div_stats == f.div_stats),
+        ("trace", *trace == f.trace),
+        ("dropped_events", *dropped_events == f.dropped_events),
+        ("metrics", *metrics == f.metrics),
+    ];
+    match fields.into_iter().find(|&(_, equal)| !equal) {
+        None => Ok(fast_forward),
+        Some((field, _)) => Err(RunError::CrossCheckDiverged {
+            field,
+            cycle_by_cycle: Box::new(cycle_by_cycle),
+            fast_forward: Box::new(fast_forward),
+        }),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use microscope_cpu::{Assembler, Reg};
+    use microscope_cache::HierarchyConfig;
+    use microscope_cpu::Assembler;
+    use microscope_mem::PteFlags;
 
-    #[test]
-    fn compare_reports_locates_the_first_difference() {
+    fn halt() -> Program {
+        let mut asm = Assembler::new();
+        asm.halt();
+        asm.finish()
+    }
+
+    /// Builds a one-instruction session on the default hierarchy as
+    /// `edit` leaves it.
+    fn build_on(edit: impl FnOnce(&mut HierarchyConfig)) -> Option<BuildError> {
         let mut b = SessionBuilder::new();
         let aspace = b.new_aspace(1);
-        let mut asm = Assembler::new();
-        asm.imm(Reg(1), 7).halt();
-        b.victim(asm.finish(), aspace);
+        b.victim(halt(), aspace);
+        edit(&mut b.sim_mut().hierarchy);
+        b.build().err()
+    }
+
+    fn invalid(field: &'static str, value: u64) -> Option<BuildError> {
+        Some(BuildError::InvalidConfig { field, value })
+    }
+
+    #[test]
+    fn l1_banks_must_be_a_power_of_two() {
+        assert_eq!(build_on(|_| {}), None);
+        assert_eq!(build_on(|h| h.l1_banks = 3), invalid("l1_banks", 3));
+        assert_eq!(build_on(|h| h.l1_banks = 0), invalid("l1_banks", 0));
+    }
+
+    #[test]
+    fn dram_banks_must_be_a_power_of_two() {
+        assert_eq!(build_on(|h| h.dram.banks = 3), invalid("dram.banks", 3));
+    }
+
+    #[test]
+    fn dram_lines_per_row_must_be_a_power_of_two() {
+        assert_eq!(
+            build_on(|h| h.dram.lines_per_row = 100),
+            invalid("dram.lines_per_row", 100)
+        );
+    }
+
+    #[test]
+    fn cache_sets_must_be_a_power_of_two() {
+        assert_eq!(build_on(|h| h.l2.sets = 6), invalid("l2.sets", 6));
+    }
+
+    #[test]
+    fn cache_ways_must_be_non_zero() {
+        assert_eq!(build_on(|h| h.l1.ways = 0), invalid("l1.ways", 0));
+    }
+
+    /// Builds a session whose monitor maps one page at `0x7000_0000` and
+    /// reads `samples` slots from `base`.
+    fn build_monitor(base: u64, samples: u64) -> Result<AttackSession, BuildError> {
+        let mut b = SessionBuilder::new();
+        let victim = b.new_aspace(1);
+        b.victim(halt(), victim);
+        let monitor = b.new_aspace(2);
+        monitor.alloc_map(
+            b.phys(),
+            VAddr(0x7000_0000),
+            PAGE_BYTES,
+            PteFlags::user_data(),
+        );
+        let buffer = MonitorBuffer {
+            base: VAddr(base),
+            samples,
+        };
+        b.monitor(halt(), monitor, Some(buffer));
+        b.build()
+    }
+
+    #[test]
+    fn unmapped_monitor_buffer_is_a_build_error() {
+        let unmapped = |vaddr| {
+            Some(BuildError::MonitorBufferUnmapped {
+                vaddr: VAddr(vaddr),
+            })
+        };
+        assert_eq!(build_monitor(0x7100_0000, 2).err(), unmapped(0x7100_0000));
+        assert_eq!(build_monitor(0x7000_0000, 513).err(), unmapped(0x7000_1000));
+        assert_eq!(build_monitor(0x7000_0ffc, 2).err(), unmapped(0x7000_1004));
+        assert_eq!(build_monitor(u64::MAX - 7, 2).err(), unmapped(u64::MAX - 7));
+        let samples = build_monitor(0x7000_0000, 512).ok().map(|mut s| {
+            s.execute(RunRequest::cold(10_000))
+                .map(|r| r.monitor_samples)
+        });
+        assert_eq!(samples, Some(Ok(vec![0; 512])), "the buffer fills its page");
+    }
+
+    #[test]
+    fn compare_reports_names_the_first_differing_field() {
+        let mut b = SessionBuilder::new();
+        let aspace = b.new_aspace(1);
+        b.victim(halt(), aspace).probe(RecorderConfig::default());
         let mut session = b.build().expect("session has a victim");
         let report = session
             .execute(RunRequest::cold(1_000))
             .expect("a cold run cannot fail");
-        assert_eq!(compare_reports(&report, &report.clone()), Ok(()));
-
-        let mut other = report.clone();
-        other.div_stats.1 += 1;
-        let Err(RunError::CrossCheckDiverged {
-            byte,
-            cycle_by_cycle,
-            fast_forward,
-        }) = compare_reports(&report, &other)
-        else {
-            panic!("reports that differ must diverge");
+        assert!(!report.trace.is_empty(), "the probe records the run");
+        let same = compare_reports(report.clone(), report.clone());
+        assert_eq!(same, Ok(report.clone()));
+        let diverges_in = |field, edit: fn(&mut AttackReport)| {
+            let mut other = report.clone();
+            edit(&mut other);
+            let want = Err(RunError::CrossCheckDiverged {
+                field,
+                cycle_by_cycle: Box::new(report.clone()),
+                fast_forward: Box::new(other.clone()),
+            });
+            assert_eq!(compare_reports(report.clone(), other), want);
         };
-        let rendered = format!("{report:?}");
-        assert_eq!(
-            rendered.as_bytes()[..byte],
-            format!("{other:?}").as_bytes()[..byte]
-        );
-        assert!(
-            rendered[..byte].ends_with("div_stats: (0, "),
-            "{}",
-            &rendered[..byte]
-        );
-        assert!(
-            cycle_by_cycle.contains("div_stats: (0, 0)"),
-            "{cycle_by_cycle}"
-        );
-        assert!(fast_forward.contains("div_stats: (0, 1)"), "{fast_forward}");
+        diverges_in("div_stats", |r| r.div_stats.1 += 1);
+        diverges_in("cycles", |r| {
+            r.cycles += 1;
+            r.trace.pop();
+        });
     }
 }

@@ -63,7 +63,7 @@ pub struct SweepPoint<P = ()> {
 }
 
 /// Why one grid point failed (the sweep itself keeps going).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum SweepError {
     /// Session assembly failed.
     Build(BuildError),

@@ -128,7 +128,7 @@ impl Cond {
 }
 
 /// A decoded instruction. Branch/jump targets are indices into the program.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Inst {
     /// `dst = value`
     Imm {

@@ -149,8 +149,7 @@ pub struct Quote {
 pub fn measure(program: &Program) -> u64 {
     let mut h = DefaultHasher::new();
     for inst in program.iter() {
-        // Debug form is stable within a build and covers all fields.
-        format!("{inst:?}").hash(&mut h);
+        inst.hash(&mut h);
     }
     h.finish()
 }

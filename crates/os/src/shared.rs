@@ -39,7 +39,7 @@ impl Observation {
 }
 
 /// Module outputs visible to the host-side attacker.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ModuleShared {
     /// Probe measurements, in fault order.
     pub observations: Vec<Observation>,

@@ -45,7 +45,7 @@ impl MetricValue {
 }
 
 /// Ordered name → value registry.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricSet {
     entries: Vec<(String, MetricValue)>,
 }

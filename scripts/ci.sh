@@ -176,6 +176,16 @@ rm -f "$PIPE_ERR" "$PIPE_STATUS"
 echo "== tracked figure: Rust lines in crates/ src/ examples/ tests/ =="
 find crates src examples tests -name '*.rs' -exec cat {} + | wc -l
 
+echo "== tracked figure: non-test lines in crates/*/src =="
+# Each file counted up to its first #[cfg(test)] line that is followed by
+# a mod line. Not a gate: ROADMAP asks that it not grow.
+find crates/*/src -name '*.rs' -exec awk '
+    FNR == 1 { cut = 0; pending = 0 }
+    cut { next }
+    pending && /^[[:space:]]*mod / { cut = 1; n--; next }
+    { pending = /^[[:space:]]*#\[cfg\(test\)\]/; n++ }
+    END { print n }' {} + | awk '{ s += $1 } END { print s }'
+
 echo "== tracked figure: panic sites in crates/*/src =="
 # unwrap(), expect(, panic! and unreachable! matches, unit tests included.
 # Not a gate: ROADMAP tracks the count as sites caller input can reach

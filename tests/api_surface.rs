@@ -10,6 +10,8 @@
 //! 3. **`RunRequest` composes** — the builder flags are independent and
 //!    order-insensitive.
 
+use microscope::cpu::Assembler;
+use microscope::mem::VAddr;
 use microscope::prelude::*;
 use std::error::Error;
 
@@ -55,12 +57,23 @@ fn run_request_flags_compose_in_any_order() {
     assert!(c.is_cross_checked() && c.is_from_checkpoint());
 }
 
-/// A cross-check divergence as `execute` reports it.
+/// A cross-check divergence as `execute` reports it, between the report
+/// of a real one-instruction run and a copy that ends a cycle later.
 fn diverged() -> RunError {
+    let mut b = SessionBuilder::new();
+    let aspace = b.new_aspace(1);
+    let mut asm = Assembler::new();
+    asm.halt();
+    b.victim(asm.finish(), aspace);
+    let mut session = b.build().expect("session has a victim");
+    let report = session.execute(RunRequest::cold(1_000)).expect("cold run");
     RunError::CrossCheckDiverged {
-        byte: 42,
-        cycle_by_cycle: "cycles: 10".into(),
-        fast_forward: "cycles: 11".into(),
+        field: "cycles",
+        fast_forward: Box::new(AttackReport {
+            cycles: report.cycles + 1,
+            ..report.clone()
+        }),
+        cycle_by_cycle: Box::new(report),
     }
 }
 
@@ -93,6 +106,15 @@ fn displays_follow_what_failed_colon_why() {
         microscope::analyze::ValidateError::Run(RunError::CheckpointMismatch { capture_cycle: 9 })
             .to_string(),
         microscope::cpu::ProgramError::BadRegister { at: 0, reg: 40 }.to_string(),
+        BuildError::MonitorBufferUnmapped {
+            vaddr: VAddr(0x7000_0008),
+        }
+        .to_string(),
+        BuildError::InvalidConfig {
+            field: "dram.banks",
+            value: 3,
+        }
+        .to_string(),
     ];
     for msg in &cases {
         assert!(
@@ -104,16 +126,19 @@ fn displays_follow_what_failed_colon_why() {
     assert!(cases[1].starts_with("run until monitor done failed:"));
     assert!(cases[3].contains("cycle 17"));
     assert!(cases[4].starts_with("fast-forward cross-check failed:"));
-    assert!(
-        cases[4].contains("byte 42")
-            && cases[4].contains("cycle-by-cycle: …cycles: 10…")
-            && cases[4].contains("fast-forward:   …cycles: 11…"),
-        "{}",
-        cases[4]
+    assert_eq!(
+        cases[4],
+        "fast-forward cross-check failed: the reports differ first in `cycles`"
     );
     assert!(cases[7].contains("--jobs"));
     assert!(cases[9].starts_with("validation run failed: checkpoint restore failed:"));
     assert!(cases[10].contains("pc 0") && cases[10].contains("r40"));
+    assert!(cases[11].contains("v:0x70000008"), "{}", cases[11]);
+    assert!(
+        cases[12].contains("hierarchy.dram.banks = 3"),
+        "{}",
+        cases[12]
+    );
 }
 
 #[test]
