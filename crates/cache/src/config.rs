@@ -73,21 +73,22 @@ impl HierarchyConfig {
     /// # Errors
     ///
     /// The first field, in that order, that breaks its rule, as its path
-    /// inside this struct (`"l2.sets"`, `"dram.banks"`) and its value.
+    /// from a simulation config's `hierarchy` field
+    /// (`"hierarchy.l2.sets"`, `"hierarchy.dram.banks"`) and its value.
     pub fn check(&self) -> Result<(), (&'static str, u64)> {
         let (l1, l2, l3, dram) = (self.l1, self.l2, self.l3, self.dram);
         let powers_of_two = [
-            ("l1.sets", l1.sets as u64),
-            ("l2.sets", l2.sets as u64),
-            ("l3.sets", l3.sets as u64),
-            ("l1_banks", self.l1_banks as u64),
-            ("dram.banks", dram.banks as u64),
-            ("dram.lines_per_row", dram.lines_per_row),
+            ("hierarchy.l1.sets", l1.sets as u64),
+            ("hierarchy.l2.sets", l2.sets as u64),
+            ("hierarchy.l3.sets", l3.sets as u64),
+            ("hierarchy.l1_banks", self.l1_banks as u64),
+            ("hierarchy.dram.banks", dram.banks as u64),
+            ("hierarchy.dram.lines_per_row", dram.lines_per_row),
         ];
         let ways = [
-            ("l1.ways", l1.ways as u64),
-            ("l2.ways", l2.ways as u64),
-            ("l3.ways", l3.ways as u64),
+            ("hierarchy.l1.ways", l1.ways as u64),
+            ("hierarchy.l2.ways", l2.ways as u64),
+            ("hierarchy.l3.ways", l3.ways as u64),
         ];
         let bad_power = powers_of_two
             .into_iter()
@@ -142,9 +143,10 @@ mod tests {
         assert_eq!(HierarchyConfig::tiny().check(), Ok(()));
         let mut cfg = HierarchyConfig::default();
         cfg.l1.ways = 0;
-        assert_eq!(cfg.check(), Err(("l1.ways", 0)));
+        assert_eq!(cfg.check(), Err(("hierarchy.l1.ways", 0)));
         cfg.dram.banks = 3;
-        assert_eq!(cfg.check(), Err(("dram.banks", 3)), "sets and banks first");
+        let first = Err(("hierarchy.dram.banks", 3));
+        assert_eq!(cfg.check(), first, "sets and banks first");
     }
 
     #[test]

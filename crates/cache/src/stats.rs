@@ -26,15 +26,6 @@ impl LevelStats {
             self.hits as f64 / total as f64
         }
     }
-
-    /// Counters accumulated since `since` (interval measurement around a
-    /// replay window; saturates rather than underflowing if misused).
-    pub fn delta(&self, since: &LevelStats) -> LevelStats {
-        LevelStats {
-            hits: self.hits.saturating_sub(since.hits),
-            misses: self.misses.saturating_sub(since.misses),
-        }
-    }
 }
 
 /// Statistics for the full hierarchy.
@@ -52,23 +43,6 @@ pub struct HierarchyStats {
     pub back_invalidations: u64,
     /// Explicit line flushes requested (clflush-style).
     pub line_flushes: u64,
-}
-
-impl HierarchyStats {
-    /// Counters accumulated since `since` — the interval form used to
-    /// measure what a single replay window did to the caches.
-    pub fn delta(&self, since: &HierarchyStats) -> HierarchyStats {
-        HierarchyStats {
-            l1: self.l1.delta(&since.l1),
-            l2: self.l2.delta(&since.l2),
-            l3: self.l3.delta(&since.l3),
-            dram_accesses: self.dram_accesses.saturating_sub(since.dram_accesses),
-            back_invalidations: self
-                .back_invalidations
-                .saturating_sub(since.back_invalidations),
-            line_flushes: self.line_flushes.saturating_sub(since.line_flushes),
-        }
-    }
 }
 
 impl MetricSource for HierarchyStats {
@@ -102,43 +76,6 @@ mod tests {
         let s = LevelStats { hits: 1, misses: 3 };
         assert_eq!(s.accesses(), 4);
         assert!((s.hit_rate() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn delta_subtracts_fieldwise() {
-        let before = HierarchyStats {
-            l1: LevelStats {
-                hits: 10,
-                misses: 2,
-            },
-            l2: LevelStats { hits: 1, misses: 1 },
-            l3: LevelStats { hits: 0, misses: 1 },
-            dram_accesses: 1,
-            back_invalidations: 0,
-            line_flushes: 4,
-        };
-        let mut after = before;
-        after.l1.hits += 5;
-        after.l3.misses += 2;
-        after.dram_accesses += 2;
-        after.line_flushes += 1;
-        let d = after.delta(&before);
-        assert_eq!(d.l1, LevelStats { hits: 5, misses: 0 });
-        assert_eq!(d.l2, LevelStats::default());
-        assert_eq!(d.l3, LevelStats { hits: 0, misses: 2 });
-        assert_eq!(d.dram_accesses, 2);
-        assert_eq!(d.back_invalidations, 0);
-        assert_eq!(d.line_flushes, 1);
-    }
-
-    #[test]
-    fn delta_saturates_instead_of_underflowing() {
-        let a = HierarchyStats::default();
-        let b = HierarchyStats {
-            l1: LevelStats { hits: 3, misses: 0 },
-            ..HierarchyStats::default()
-        };
-        assert_eq!(a.delta(&b).l1.hits, 0);
     }
 
     #[test]

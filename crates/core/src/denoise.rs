@@ -49,39 +49,6 @@ pub fn count_over(samples: &[u64], threshold: u64) -> usize {
     samples.iter().filter(|s| **s > threshold).count()
 }
 
-/// Outcome of comparing two over-threshold counts (contended vs baseline).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ContentionVerdict {
-    /// Samples over threshold under measurement.
-    pub measured_over: usize,
-    /// Samples over threshold in the baseline.
-    pub baseline_over: usize,
-    /// `measured_over / max(baseline_over, 1)`.
-    pub ratio: f64,
-    /// Whether contention was detected.
-    pub contended: bool,
-}
-
-/// Classifies contention by the over-threshold ratio, as §6.1 does (the
-/// paper observes a 16× gap between the division and multiplication
-/// victims and calls them "clearly distinguishable").
-pub fn classify_contention(
-    measured: &[u64],
-    baseline: &[u64],
-    threshold: u64,
-    min_ratio: f64,
-) -> ContentionVerdict {
-    let measured_over = count_over(measured, threshold);
-    let baseline_over = count_over(baseline, threshold);
-    let ratio = measured_over as f64 / baseline_over.max(1) as f64;
-    ContentionVerdict {
-        measured_over,
-        baseline_over,
-        ratio,
-        contended: ratio >= min_ratio,
-    }
-}
-
 /// Majority vote across a step's replays: returns the addresses classified
 /// as cache hits in strictly more than `vote_fraction` of the replays.
 ///
@@ -156,9 +123,8 @@ mod tests {
         let mut measured = vec![50u64; 9936];
         measured.extend([200; 64]);
         let t = calibrate_threshold(&baseline, 0.999, 10);
-        let v = classify_contention(&measured, &baseline, t, 8.0);
-        assert!(v.contended);
-        assert!(v.ratio >= 15.0, "ratio {}", v.ratio);
+        let (over, base_over) = (count_over(&measured, t), count_over(&baseline, t));
+        assert!(over >= 15 * base_over.max(1), "{over} vs {base_over} over");
     }
 
     fn obs(step: u64, replay: u64, probes: Vec<(u64, u64)>) -> Observation {

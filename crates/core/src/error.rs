@@ -32,12 +32,15 @@ pub enum BuildError {
         /// The first slot that does not translate.
         vaddr: VAddr,
     },
-    /// A hierarchy field breaks the rule its model needs: cache `sets`,
-    /// `l1_banks`, `dram.banks` and `dram.lines_per_row` must be powers of
-    /// two, and cache `ways` non-zero (see
-    /// [`HierarchyConfig::check`](microscope_cache::HierarchyConfig::check)).
+    /// A hierarchy or TLB field breaks the rule its model needs: cache and
+    /// TLB `sets`, `l1_banks`, `dram.banks` and `dram.lines_per_row` must
+    /// be powers of two, and cache and TLB `ways` non-zero (see
+    /// [`HierarchyConfig::check`](microscope_cache::HierarchyConfig::check)
+    /// and
+    /// [`TlbHierarchyConfig::check`](microscope_mem::TlbHierarchyConfig::check)).
     InvalidConfig {
-        /// The field, as a path inside `SimConfig::hierarchy`.
+        /// The field, as a path inside `SimConfig` (`"hierarchy.l1.ways"`,
+        /// `"tlb.l1d.sets"`).
         field: &'static str,
         /// Its value.
         value: u64,
@@ -61,10 +64,7 @@ impl fmt::Display for BuildError {
                 )
             }
             BuildError::InvalidConfig { field, value } => {
-                write!(
-                    f,
-                    "session build failed: hierarchy.{field} = {value} breaks its rule"
-                )
+                write!(f, "session build failed: {field} = {value} breaks its rule")
             }
         }
     }

@@ -125,15 +125,14 @@ impl SessionBuilder {
     /// Assembles the machine, arms the module, installs the kernel.
     ///
     /// Fails with [`BuildError::NoVictim`] when no victim was installed,
-    /// [`BuildError::InvalidConfig`] when a hierarchy field breaks its rule,
-    /// and [`BuildError::MonitorBufferUnmapped`] when a monitor buffer slot
-    /// does not translate.
+    /// [`BuildError::InvalidConfig`] when a hierarchy or TLB field breaks
+    /// its rule, and [`BuildError::MonitorBufferUnmapped`] when a monitor
+    /// buffer slot does not translate.
     pub fn build(self) -> Result<AttackSession, BuildError> {
         let (victim_prog, victim_asp) = self.victim.ok_or(BuildError::NoVictim)?;
-        self.sim
-            .hierarchy
-            .check()
-            .map_err(|(field, value)| BuildError::InvalidConfig { field, value })?;
+        let invalid = |(field, value)| BuildError::InvalidConfig { field, value };
+        self.sim.hierarchy.check().map_err(invalid)?;
+        self.sim.tlb.check().map_err(invalid)?;
         if let Some((_, asp, Some(buf))) = &self.monitor {
             if let Some(vaddr) = first_unmapped_slot(&self.phys, asp, *buf) {
                 return Err(BuildError::MonitorBufferUnmapped { vaddr });
@@ -358,7 +357,7 @@ impl AttackSession {
             // Re-execute the post-arm window twice — once with the
             // reference cycle-by-cycle loop, once with idle-cycle
             // fast-forward — and return the fast report if the two are equal.
-            let orig_ff = self.machine.config().fast_forward;
+            let orig_ff = self.machine.fast_forward_enabled();
             self.machine.set_fast_forward(false);
             let reference = self.run_window(true, self.monitor_ctx, max_cycles);
             self.machine.set_fast_forward(true);
@@ -580,7 +579,6 @@ fn compare_reports(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use microscope_cache::HierarchyConfig;
     use microscope_cpu::Assembler;
     use microscope_mem::PteFlags;
 
@@ -590,13 +588,13 @@ mod tests {
         asm.finish()
     }
 
-    /// Builds a one-instruction session on the default hierarchy as
-    /// `edit` leaves it.
-    fn build_on(edit: impl FnOnce(&mut HierarchyConfig)) -> Option<BuildError> {
+    /// Builds a one-instruction session on the default config as `edit`
+    /// leaves it.
+    fn build_on(edit: impl FnOnce(&mut SimConfig)) -> Option<BuildError> {
         let mut b = SessionBuilder::new();
         let aspace = b.new_aspace(1);
         b.victim(halt(), aspace);
-        edit(&mut b.sim_mut().hierarchy);
+        edit(b.sim_mut());
         b.build().err()
     }
 
@@ -607,31 +605,53 @@ mod tests {
     #[test]
     fn l1_banks_must_be_a_power_of_two() {
         assert_eq!(build_on(|_| {}), None);
-        assert_eq!(build_on(|h| h.l1_banks = 3), invalid("l1_banks", 3));
-        assert_eq!(build_on(|h| h.l1_banks = 0), invalid("l1_banks", 0));
+        let banks = |n| build_on(|c| c.hierarchy.l1_banks = n);
+        assert_eq!(banks(3), invalid("hierarchy.l1_banks", 3));
+        assert_eq!(banks(0), invalid("hierarchy.l1_banks", 0));
     }
 
     #[test]
     fn dram_banks_must_be_a_power_of_two() {
-        assert_eq!(build_on(|h| h.dram.banks = 3), invalid("dram.banks", 3));
+        let got = build_on(|c| c.hierarchy.dram.banks = 3);
+        assert_eq!(got, invalid("hierarchy.dram.banks", 3));
     }
 
     #[test]
     fn dram_lines_per_row_must_be_a_power_of_two() {
-        assert_eq!(
-            build_on(|h| h.dram.lines_per_row = 100),
-            invalid("dram.lines_per_row", 100)
-        );
+        let got = build_on(|c| c.hierarchy.dram.lines_per_row = 100);
+        assert_eq!(got, invalid("hierarchy.dram.lines_per_row", 100));
     }
 
     #[test]
     fn cache_sets_must_be_a_power_of_two() {
-        assert_eq!(build_on(|h| h.l2.sets = 6), invalid("l2.sets", 6));
+        let got = build_on(|c| c.hierarchy.l2.sets = 6);
+        assert_eq!(got, invalid("hierarchy.l2.sets", 6));
     }
 
     #[test]
     fn cache_ways_must_be_non_zero() {
-        assert_eq!(build_on(|h| h.l1.ways = 0), invalid("l1.ways", 0));
+        let got = build_on(|c| c.hierarchy.l1.ways = 0);
+        assert_eq!(got, invalid("hierarchy.l1.ways", 0));
+    }
+
+    #[test]
+    fn tlb_l1d_sets_must_be_a_power_of_two() {
+        assert_eq!(build_on(|c| c.tlb.l1d.sets = 3), invalid("tlb.l1d.sets", 3));
+    }
+
+    #[test]
+    fn tlb_l1d_ways_must_be_non_zero() {
+        assert_eq!(build_on(|c| c.tlb.l1d.ways = 0), invalid("tlb.l1d.ways", 0));
+    }
+
+    #[test]
+    fn tlb_l2_sets_must_be_a_power_of_two() {
+        assert_eq!(build_on(|c| c.tlb.l2.sets = 0), invalid("tlb.l2.sets", 0));
+    }
+
+    #[test]
+    fn tlb_l2_ways_must_be_non_zero() {
+        assert_eq!(build_on(|c| c.tlb.l2.ways = 0), invalid("tlb.l2.ways", 0));
     }
 
     /// Builds a session whose monitor maps one page at `0x7000_0000` and

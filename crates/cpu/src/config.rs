@@ -47,13 +47,18 @@ pub struct CoreConfig {
     pub squash_penalty: u64,
     /// Branch predictor geometry.
     pub predictor: PredictorConfig,
-    /// Whether `RDRAND` acts as a speculation fence (current Intel parts do;
-    /// §7.2 found the biasing attack blocked by exactly this fence). Set to
+    /// Whether `RDRAND` serializes like a `Fence` (current Intel parts do;
+    /// §7.2 found the biasing attack blocked by exactly this fence): it
+    /// issues only once every older instruction completed, and no younger
+    /// one issues until it completes. The core and the static planner read
+    /// this through the one rule,
+    /// [`Inst::is_serializing`](crate::Inst::is_serializing). Set to
     /// `false` to simulate a hypothetical unfenced implementation.
     pub rdrand_is_fenced: bool,
-    /// Defensive knob (§8 "Fences on Pipeline Flushes"): after a pipeline
-    /// flush, the first instruction executes non-speculatively — younger
-    /// instructions may not begin execution until it completes.
+    /// Defensive knob (§8 "Fences on Pipeline Flushes"): after every
+    /// pipeline flush — page fault, mispredict, transaction abort or
+    /// stepping interrupt — the first refetched instruction blocks younger
+    /// ones: they may not begin execution until it completes.
     pub fence_after_pipeline_flush: bool,
     /// Defensive knob (InvisiSpec/SafeSpec-style): when set, loads issued
     /// speculatively (i.e. with any older un-completed instruction in the
@@ -67,17 +72,6 @@ pub struct CoreConfig {
     /// replayer that observed a speculative draw release the victim fast
     /// enough for the *same* value to commit — the §7.2 biasing mechanism.
     pub rdrand_refill_log2: u32,
-    /// Idle-cycle fast-forward: [`crate::Machine::run`] jumps the clock to
-    /// the next cycle in which anything can happen — the earliest
-    /// completion on a context's calendar, the end of a fetch stall, or
-    /// the divider freeing up for a waiting division — instead of ticking
-    /// through the dead cycles. The skip is exact: nothing could retire,
-    /// complete, issue or fetch in a skipped cycle, and the divider stalls
-    /// its failed issue attempts would have charged are credited, so all
-    /// observable state (reports, traces, statistics, timer reads) is
-    /// byte-identical to cycle-by-cycle execution. Disable to force the
-    /// reference cycle-by-cycle loop (the cross-check baseline).
-    pub fast_forward: bool,
 }
 
 impl Default for CoreConfig {
@@ -98,7 +92,6 @@ impl Default for CoreConfig {
             invisible_speculation: false,
             rdrand_seed: 0x5ca1ab1e,
             rdrand_refill_log2: 14,
-            fast_forward: true,
         }
     }
 }

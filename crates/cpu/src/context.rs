@@ -221,11 +221,6 @@ impl Context {
         self.issues.get(pc).copied().unwrap_or(0)
     }
 
-    /// Number of in-flight (un-retired) instructions.
-    pub fn rob_occupancy(&self) -> usize {
-        self.rob.len()
-    }
-
     /// Tag of the entry at ROB position `idx`.
     pub(crate) fn tag_of(&self, idx: usize) -> u64 {
         self.head_tag + idx as u64
@@ -470,7 +465,7 @@ mod tests {
         let mut c = ctx();
         c.dispatch(dummy_entry(1, Reg(1)));
         assert_eq!(c.squash_all(), 1);
-        assert_eq!(c.rob_occupancy(), 0);
+        assert!(c.rob.is_empty());
         assert!(c.rat.iter().all(Option::is_none));
         assert!(c.ready.is_empty());
     }

@@ -358,11 +358,13 @@ impl Inst {
         matches!(self, Inst::Load { .. } | Inst::Store { .. })
     }
 
-    /// Whether this instruction serializes the pipeline — younger
-    /// instructions cannot issue beneath it, so no speculation window
-    /// crosses it. `Fence` always does; `RdRand` only when the core runs
-    /// with the fenced-`RDRAND` defense
-    /// ([`CoreConfig::rdrand_is_fenced`](crate::CoreConfig)).
+    /// Whether this instruction serializes the pipeline: it issues only
+    /// once every older instruction completed, and no younger one issues
+    /// until it completes, so no speculation window crosses it. `Fence`
+    /// always does; `RdRand` only when the core runs with the
+    /// fenced-`RDRAND` defense
+    /// ([`CoreConfig::rdrand_is_fenced`](crate::CoreConfig)). This is the
+    /// one rule: the core's dispatch and the static planner both call it.
     pub fn is_serializing(&self, rdrand_is_fenced: bool) -> bool {
         match self {
             Inst::Fence => true,

@@ -246,19 +246,10 @@ impl MachineBuilder {
             probe,
             next_seq: 1,
             ckpt_stats: std::cell::Cell::new(CheckpointStats::default()),
+            fast_forward: true,
         }
     }
 }
-
-/// What the memory pipeline hands back for one load/store:
-/// `(value, latency, fault, mem_addr, fill_at_retire)`.
-type MemExecOutcome = (
-    u64,
-    u64,
-    Option<PageFault>,
-    Option<(VAddr, PAddr, u8)>,
-    Option<PAddr>,
-);
 
 /// The whole simulated machine.
 pub struct Machine {
@@ -274,6 +265,10 @@ pub struct Machine {
     /// [`Machine::restore`]. A `Cell` so [`Machine::checkpoint`] can count
     /// captures through its `&self` receiver.
     ckpt_stats: std::cell::Cell<CheckpointStats>,
+    /// Whether [`Machine::run_until`] skips idle cycles (see
+    /// [`Machine::set_fast_forward`]). An engine setting, not hardware:
+    /// never captured or restored.
+    fast_forward: bool,
 }
 
 impl std::fmt::Debug for Machine {
@@ -458,11 +453,24 @@ impl Machine {
         }
     }
 
-    /// Toggles idle-cycle fast-forward at run time (see
-    /// [`CoreConfig::fast_forward`]). Cross-check harnesses use this to
-    /// drive the same machine with and without the optimization.
+    /// Switches idle-cycle fast-forward, on by default:
+    /// [`Machine::run_until`] jumps the clock to the next cycle in which
+    /// anything can happen — the earliest completion on a context's
+    /// calendar, the end of a fetch stall, or the divider freeing up for a
+    /// waiting division — instead of ticking through the dead cycles. The skip is exact: nothing
+    /// could retire, complete, issue or fetch in a skipped cycle, and the
+    /// divider stalls its failed issue attempts would have charged are
+    /// credited, so all observable state (reports, traces, statistics,
+    /// timer reads) equals cycle-by-cycle execution. Switch it off to run
+    /// the reference cycle-by-cycle loop (the cross-check baseline).
     pub fn set_fast_forward(&mut self, on: bool) {
-        self.cfg.fast_forward = on;
+        self.fast_forward = on;
+    }
+
+    /// Whether idle-cycle fast-forward is on (see
+    /// [`Machine::set_fast_forward`]).
+    pub fn fast_forward_enabled(&self) -> bool {
+        self.fast_forward
     }
 
     /// Runs until every context halts or `max_cycles` elapse.
@@ -479,13 +487,14 @@ impl Machine {
     ///
     /// The predicate is evaluated once before every real step (and once
     /// more when the run ends), so the number of evaluations counts the
-    /// steps taken. With [`CoreConfig::fast_forward`] enabled, the cycles
-    /// fast-forward jumps over change no machine state and are not
-    /// evaluated: exact for any predicate over machine *state*, but a
-    /// predicate over the bare cycle counter may be observed late. The
-    /// `max_cycles` stop itself is exact either way: fast-forward never
-    /// jumps past it, so a run that neither halts nor fires the predicate
-    /// ends with [`Machine::cycle`] advanced by exactly `max_cycles`.
+    /// steps taken. With fast-forward on (the default; see
+    /// [`Machine::set_fast_forward`]), the cycles it jumps over change no
+    /// machine state and are not evaluated: exact for any predicate over
+    /// machine *state*, but a predicate over the bare cycle counter may be
+    /// observed late. The `max_cycles` stop itself is exact either way:
+    /// fast-forward never jumps past it, so a run that neither halts nor
+    /// fires the predicate ends with [`Machine::cycle`] advanced by exactly
+    /// `max_cycles`.
     pub fn run_until(&mut self, max_cycles: u64, mut pred: impl FnMut(&Machine) -> bool) -> bool {
         let end = self.cycle.saturating_add(max_cycles);
         loop {
@@ -502,7 +511,7 @@ impl Machine {
     /// One scheduling quantum: a jump to just before the next wake (with
     /// fast-forward on), then one real step.
     fn advance(&mut self, end: u64) {
-        if self.cfg.fast_forward {
+        if self.fast_forward {
             self.fast_forward(end);
             if self.cycle >= end {
                 return;
@@ -758,17 +767,13 @@ impl Machine {
             ctx.step_every = None;
         }
         let dropped = ctx.squash_all();
-        ctx.stats.record_squash(SquashCause::Interrupt, dropped);
-        ctx.pc = next_pc;
-        ctx.fetch_stopped = false;
-        ctx.fetch_stalled_until = now + self.cfg.squash_penalty + action.handler_cycles;
-        self.emit(
-            now,
+        self.restart(
             ci,
-            EventKind::Squash {
-                cause: SquashCause::Interrupt,
-                discarded: dropped as u64,
-            },
+            SquashCause::Interrupt,
+            dropped,
+            next_pc,
+            action.handler_cycles,
+            now,
         );
     }
 
@@ -793,24 +798,16 @@ impl Machine {
         );
         let action: SupervisorAction = self.supervisor.on_page_fault(&mut self.hw, &ev);
         self.apply_stall(&action, now);
-        let ctx = &mut self.contexts[ci];
-        let dropped = ctx.squash_all();
-        ctx.stats.record_squash(SquashCause::PageFault, dropped);
+        let dropped = self.contexts[ci].squash_all();
         // Precise exceptions: resume at the faulting instruction. If the OS
         // did not repair the translation, this is a replay.
-        ctx.pc = pc;
-        ctx.fetch_stopped = false;
-        ctx.fetch_stalled_until = now + self.cfg.squash_penalty + action.handler_cycles;
-        if self.cfg.fence_after_pipeline_flush {
-            ctx.post_flush_fence = true;
-        }
-        self.emit(
-            now,
+        self.restart(
             ci,
-            EventKind::Squash {
-                cause: SquashCause::PageFault,
-                discarded: dropped as u64,
-            },
+            SquashCause::PageFault,
+            dropped,
+            pc,
+            action.handler_cycles,
+            now,
         );
         self.emit(
             now,
@@ -837,21 +834,31 @@ impl Machine {
         ctx.arch_regs = txn.snapshot_regs;
         ctx.arch_regs[Reg::TXN_ABORT_CODE.index()] = code;
         let dropped = ctx.squash_all();
-        ctx.stats.record_squash(SquashCause::TxnAbort, dropped);
-        ctx.pc = txn.abort_target;
+        self.restart(ci, SquashCause::TxnAbort, dropped, txn.abort_target, 0, now);
+    }
+
+    /// Refetches context `ci` from `pc` after a squash of `dropped`
+    /// entries: the one restart path of all four squash causes. Fetch
+    /// resumes after the squash penalty plus `handler_cycles` of OS
+    /// handling, and with [`CoreConfig::fence_after_pipeline_flush`] the
+    /// first refetched instruction blocks younger issue until it completes.
+    fn restart(
+        &mut self,
+        ci: usize,
+        cause: SquashCause,
+        dropped: usize,
+        pc: usize,
+        handler_cycles: u64,
+        now: u64,
+    ) {
+        let ctx = &mut self.contexts[ci];
+        ctx.stats.record_squash(cause, dropped);
+        ctx.pc = pc;
         ctx.fetch_stopped = false;
-        ctx.fetch_stalled_until = now + self.cfg.squash_penalty;
-        if self.cfg.fence_after_pipeline_flush {
-            ctx.post_flush_fence = true;
-        }
-        self.emit(
-            now,
-            ci,
-            EventKind::Squash {
-                cause: SquashCause::TxnAbort,
-                discarded: dropped as u64,
-            },
-        );
+        ctx.fetch_stalled_until = now + self.cfg.squash_penalty + handler_cycles;
+        ctx.post_flush_fence |= self.cfg.fence_after_pipeline_flush;
+        let discarded = dropped as u64;
+        self.emit(now, ci, EventKind::Squash { cause, discarded });
     }
 
     // ------------------------------------------------------------------
@@ -906,23 +913,9 @@ impl Machine {
         if !mispredict {
             return true;
         }
-        let ctx = &mut self.contexts[ci];
-        let dropped = ctx.squash_younger_than(tag);
-        ctx.stats.record_squash(SquashCause::Mispredict, dropped);
-        ctx.pc = if taken { target } else { pc + 1 };
-        ctx.fetch_stopped = false;
-        ctx.fetch_stalled_until = now + self.cfg.squash_penalty;
-        if self.cfg.fence_after_pipeline_flush {
-            ctx.post_flush_fence = true;
-        }
-        self.emit(
-            now,
-            ci,
-            EventKind::Squash {
-                cause: SquashCause::Mispredict,
-                discarded: dropped as u64,
-            },
-        );
+        let dropped = self.contexts[ci].squash_younger_than(tag);
+        let resume = if taken { target } else { pc + 1 };
+        self.restart(ci, SquashCause::Mispredict, dropped, resume, 0, now);
         false
     }
 
@@ -1034,45 +1027,15 @@ impl Machine {
         let pc = self.contexts[ci].rob[idx].pc;
         self.emit(now, ci, EventKind::Issue { seq, pc: pc as u64 });
         self.contexts[ci].issues[pc] += 1;
-        let (value, latency, fault, mem, fill_at_retire, store_value) = match inst {
-            Inst::Imm { value, .. } => (value, base_lat, None, None, None, None),
-            Inst::Mov { .. } => (src_vals[0], base_lat, None, None, None, None),
-            Inst::Alu { op, .. } => (
-                op.apply(src_vals[0], src_vals[1]),
-                base_lat,
-                None,
-                None,
-                None,
-                None,
-            ),
-            Inst::AluImm { op, imm, .. } => {
-                (op.apply(src_vals[0], imm), base_lat, None, None, None, None)
-            }
-            Inst::Mul { .. } => (
-                src_vals[0].wrapping_mul(src_vals[1]),
-                base_lat,
-                None,
-                None,
-                None,
-                None,
-            ),
-            Inst::FOp { op, .. } => (
-                op.apply(src_vals[0], src_vals[1]),
-                base_lat,
-                None,
-                None,
-                None,
-                None,
-            ),
-            Inst::Branch { cond, .. } => (
-                u64::from(cond.eval(src_vals[0], src_vals[1])),
-                base_lat,
-                None,
-                None,
-                None,
-                None,
-            ),
-            Inst::ReadTimer { .. } => (now, 1, None, None, None, None),
+        let (value, latency) = match inst {
+            Inst::Imm { value, .. } => (value, base_lat),
+            Inst::Mov { .. } => (src_vals[0], base_lat),
+            Inst::Alu { op, .. } => (op.apply(src_vals[0], src_vals[1]), base_lat),
+            Inst::AluImm { op, imm, .. } => (op.apply(src_vals[0], imm), base_lat),
+            Inst::Mul { .. } => (src_vals[0].wrapping_mul(src_vals[1]), base_lat),
+            Inst::FOp { op, .. } => (op.apply(src_vals[0], src_vals[1]), base_lat),
+            Inst::Branch { cond, .. } => (u64::from(cond.eval(src_vals[0], src_vals[1])), base_lat),
+            Inst::ReadTimer { .. } => (now, base_lat),
             Inst::RdRand { .. } => {
                 // DRBG model: the output buffer refills every
                 // 2^rdrand_refill_log2 cycles; draws within one refill
@@ -1081,30 +1044,21 @@ impl Machine {
                 let v = splitmix64(
                     self.contexts[ci].rdrand_seed ^ epoch.wrapping_mul(0x9e37_79b9_7f4a_7c15),
                 );
-                (v, 20, None, None, None, None)
+                (v, base_lat)
             }
             Inst::Load { offset, size, .. } => {
                 self.contexts[ci].stats.loads_executed += 1;
-                let out = self.execute_memory(ci, idx, now, src_vals[0], offset, size, None);
-                (out.0, out.1, out.2, out.3, out.4, None)
+                self.execute_memory(ci, idx, src_vals[0], offset, size, None)
             }
             Inst::Store { offset, size, .. } => {
-                let out =
-                    self.execute_memory(ci, idx, now, src_vals[1], offset, size, Some(src_vals[0]));
-                (out.0, out.1, out.2, out.3, out.4, Some(src_vals[0]))
+                self.execute_memory(ci, idx, src_vals[1], offset, size, Some(src_vals[0]))
             }
-            Inst::XAbort { code, .. } => (u64::from(code), base_lat, None, None, None, None),
+            Inst::XAbort { code, .. } => (u64::from(code), base_lat),
             // Fence, Nop, Halt, XBegin, XEnd
-            _ => (0, base_lat, None, None, None, None),
+            _ => (0, base_lat),
         };
         let e = &mut self.contexts[ci].rob[idx];
         e.value = value;
-        e.fault = fault;
-        e.mem_addr = mem;
-        e.fill_at_retire = fill_at_retire;
-        if store_value.is_some() {
-            e.store_value = store_value;
-        }
         let done_at = now + latency.max(1);
         e.state = RobState::Executing { done_at };
         let ctx = &mut self.contexts[ci];
@@ -1122,18 +1076,18 @@ impl Machine {
     /// TLB lookup, hardware page walk on a miss (the speculation window!),
     /// then the data-cache access for loads.
     ///
-    /// Returns `(value, latency, fault, mem_addr, fill_at_retire)`.
-    #[allow(clippy::too_many_arguments)]
+    /// Writes the fault, the translated address, the store data and the
+    /// deferred fill into ROB entry `idx`; returns `(value, latency)`.
     fn execute_memory(
         &mut self,
         ci: usize,
         idx: usize,
-        _now: u64,
         base_val: u64,
         offset: i64,
         size: u8,
         store_value: Option<u64>,
-    ) -> MemExecOutcome {
+    ) -> (u64, u64) {
+        self.contexts[ci].rob[idx].store_value = store_value;
         let is_store = store_value.is_some();
         let vaddr = VAddr(base_val.wrapping_add_signed(offset));
         let aspace = self.contexts[ci].aspace;
@@ -1142,22 +1096,12 @@ impl Machine {
         let lookup = self.hw.tlb.lookup(vaddr.vpn(), aspace.pcid());
         latency += lookup.latency;
         let translation = match lookup.entry {
-            Some(entry) => {
-                if is_store && !entry.flags.writable {
-                    return (
-                        0,
-                        latency,
-                        Some(PageFault {
-                            vaddr,
-                            kind: microscope_mem::PageFaultKind::Protection,
-                            is_write: true,
-                        }),
-                        None,
-                        None,
-                    );
-                }
-                Ok(PAddr(entry.ppn * PAGE_BYTES + vaddr.page_offset()))
-            }
+            Some(entry) if is_store && !entry.flags.writable => Err(PageFault {
+                vaddr,
+                kind: microscope_mem::PageFaultKind::Protection,
+                is_write: true,
+            }),
+            Some(entry) => Ok(PAddr(entry.ppn * PAGE_BYTES + vaddr.page_offset())),
             None => {
                 // Hardware page walk — speculative execution continues in
                 // its shadow; its duration is OS-tunable via cache state.
@@ -1169,27 +1113,28 @@ impl Machine {
                     is_store,
                 );
                 latency += walk.latency;
-                match walk.result {
-                    Ok(t) => {
-                        self.hw.tlb.insert(TlbEntry {
-                            vpn: vaddr.vpn(),
-                            ppn: t.paddr.ppn(),
-                            flags: t.flags,
-                            pcid: aspace.pcid(),
-                        });
-                        Ok(t.paddr)
-                    }
-                    Err(fault) => Err(fault),
-                }
+                walk.result.map(|t| {
+                    self.hw.tlb.insert(TlbEntry {
+                        vpn: vaddr.vpn(),
+                        ppn: t.paddr.ppn(),
+                        flags: t.flags,
+                        pcid: aspace.pcid(),
+                    });
+                    t.paddr
+                })
             }
         };
         let paddr = match translation {
             Ok(p) => p,
-            Err(fault) => return (0, latency, Some(fault), None, None),
+            Err(fault) => {
+                self.contexts[ci].rob[idx].fault = Some(fault);
+                return (0, latency);
+            }
         };
+        self.contexts[ci].rob[idx].mem_addr = Some((vaddr, paddr, size));
         if is_store {
             // Stores complete once translated; data is written at commit.
-            return (0, latency + 1, None, Some((vaddr, paddr, size)), None);
+            return (0, latency + 1);
         }
         // Load data path.
         let speculative = self.contexts[ci]
@@ -1197,10 +1142,9 @@ impl Machine {
             .iter()
             .take(idx)
             .any(|o| o.state != RobState::Done);
-        let mut fill_at_retire = None;
         if self.cfg.invisible_speculation && speculative {
             latency += self.hw.hier.peek_latency(paddr);
-            fill_at_retire = Some(paddr);
+            self.contexts[ci].rob[idx].fill_at_retire = Some(paddr);
         } else {
             latency += self.hw.hier.access(paddr).latency;
         }
@@ -1224,13 +1168,7 @@ impl Machine {
                 })
             });
         let value = forwarded.unwrap_or_else(|| self.hw.phys.read_sized(paddr, size));
-        (
-            value,
-            latency,
-            None,
-            Some((vaddr, paddr, size)),
-            fill_at_retire,
-        )
+        (value, latency)
     }
 
     // ------------------------------------------------------------------
@@ -1287,13 +1225,12 @@ impl Machine {
                     }
                     _ => self.contexts[ci].pc = pc + 1,
                 }
-                let exec_at_head = matches!(inst, Inst::Fence)
-                    || (matches!(inst, Inst::RdRand { .. }) && self.cfg.rdrand_is_fenced);
-                let mut blocks_younger = matches!(inst, Inst::Fence);
-                if self.contexts[ci].post_flush_fence {
-                    blocks_younger = true;
-                    self.contexts[ci].post_flush_fence = false;
-                }
+                // One serializing rule, shared with the static planner: a
+                // serializing instruction waits for every older entry and
+                // holds every younger one until it completes.
+                let exec_at_head = inst.is_serializing(self.cfg.rdrand_is_fenced);
+                let post_flush = std::mem::take(&mut self.contexts[ci].post_flush_fence);
+                let blocks_younger = exec_at_head || post_flush;
                 let entry = RobEntry {
                     seq,
                     pc,

@@ -155,10 +155,13 @@ pub struct RobEntry {
     /// Cache fill deferred to retirement (invisible-speculation defense).
     pub fill_at_retire: Option<PAddr>,
     /// When set, younger instructions may not begin execution until this
-    /// entry completes (fences, fenced RDRAND, post-flush fence defense).
+    /// entry completes: serializing instructions
+    /// ([`Inst::is_serializing`]) and the first instruction after a flush
+    /// under the post-flush fence defense.
     pub blocks_younger: bool,
     /// Whether this entry must only execute non-speculatively (all older
-    /// entries complete): fences and fenced RDRAND.
+    /// entries complete): serializing instructions
+    /// ([`Inst::is_serializing`]).
     pub exec_at_head: bool,
     /// Head of this entry's consumer list: the tag of the youngest entry
     /// waiting on its value (0 = none). Completion delivers along the list instead of

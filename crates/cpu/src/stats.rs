@@ -43,28 +43,6 @@ impl ContextStats {
             SquashCause::Interrupt => self.interrupt_squashes += 1,
         }
     }
-
-    /// Counters accumulated since `since` (fieldwise, saturating so a
-    /// stale/reset baseline yields zeros instead of wrapping).
-    pub fn delta(&self, since: &ContextStats) -> ContextStats {
-        ContextStats {
-            dispatched: self.dispatched.saturating_sub(since.dispatched),
-            retired: self.retired.saturating_sub(since.retired),
-            squashed: self.squashed.saturating_sub(since.squashed),
-            fault_squashes: self.fault_squashes.saturating_sub(since.fault_squashes),
-            mispredict_squashes: self
-                .mispredict_squashes
-                .saturating_sub(since.mispredict_squashes),
-            txn_aborts: self.txn_aborts.saturating_sub(since.txn_aborts),
-            interrupt_squashes: self
-                .interrupt_squashes
-                .saturating_sub(since.interrupt_squashes),
-            page_faults: self.page_faults.saturating_sub(since.page_faults),
-            loads_executed: self.loads_executed.saturating_sub(since.loads_executed),
-            stores_retired: self.stores_retired.saturating_sub(since.stores_retired),
-            txn_commits: self.txn_commits.saturating_sub(since.txn_commits),
-        }
-    }
 }
 
 impl MetricSource for ContextStats {
@@ -101,23 +79,6 @@ pub struct MachineStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn delta_subtracts_fieldwise_and_saturates() {
-        let mut before = ContextStats::default();
-        before.record_squash(SquashCause::PageFault, 4);
-        before.retired = 10;
-        let mut after = before;
-        after.record_squash(SquashCause::PageFault, 6);
-        after.retired = 25;
-        let d = after.delta(&before);
-        assert_eq!(d.retired, 15);
-        assert_eq!(d.squashed, 6);
-        assert_eq!(d.fault_squashes, 1);
-        // A reset baseline must not wrap around.
-        let zeroed = ContextStats::default().delta(&after);
-        assert_eq!(zeroed, ContextStats::default());
-    }
 
     #[test]
     fn metrics_use_dotted_names() {

@@ -8,7 +8,7 @@ use microscope_cpu::{
     Supervisor, SupervisorAction,
 };
 use microscope_mem::{AddressSpace, PhysMem, PteFlags, VAddr, PAGE_BYTES};
-use microscope_probe::{EventKind, Probe, RecorderConfig};
+use microscope_probe::{Event, EventKind, Probe, RecorderConfig, SquashCause};
 
 const CTX0: ContextId = ContextId(0);
 
@@ -363,6 +363,124 @@ fn fence_after_pipeline_flush_blocks_replayed_speculation() {
          (loads_executed = {})",
         stats.loads_executed
     );
+}
+
+/// Counts the squashes of `cause` in `events` and asserts the post-flush
+/// fence after each: no instruction younger than the first one fetched
+/// after the squash issues before that one completes (or, if it never
+/// completes, before the next squash).
+fn fenced_restarts(events: &[Event], cause: SquashCause) -> usize {
+    let mut restarts = 0;
+    for (i, e) in events.iter().enumerate() {
+        if !matches!(e.kind, EventKind::Squash { cause: c, .. } if c == cause) {
+            continue;
+        }
+        let rest = &events[i + 1..];
+        let Some(first) = rest.iter().find_map(|e| match e.kind {
+            EventKind::Fetch { seq, .. } => Some(seq),
+            _ => None,
+        }) else {
+            continue;
+        };
+        restarts += 1;
+        for e in rest {
+            match e.kind {
+                EventKind::Complete { seq } if seq == first => break,
+                EventKind::Squash { .. } => break,
+                EventKind::Issue { seq, .. } => assert!(
+                    seq <= first,
+                    "{cause}: seq {seq} issued at cycle {} before the first \
+                     refetched seq {first} completed",
+                    e.cycle
+                ),
+                _ => {}
+            }
+        }
+    }
+    restarts
+}
+
+#[test]
+fn post_flush_fence_follows_every_squash_cause() {
+    struct Stepper;
+    impl Supervisor for Stepper {
+        fn on_page_fault(&mut self, _: &mut HwParts, ev: &FaultEvent) -> SupervisorAction {
+            panic!("unexpected fault: {}", ev.fault);
+        }
+        fn on_interrupt(
+            &mut self,
+            _: &mut HwParts,
+            _: &microscope_cpu::InterruptEvent,
+        ) -> SupervisorAction {
+            SupervisorAction::cycles(10)
+        }
+    }
+    let fenced = || {
+        MachineBuilder::new()
+            .core_config(CoreConfig {
+                fence_after_pipeline_flush: true,
+                ..CoreConfig::default()
+            })
+            .probe(Probe::new(RecorderConfig::default()))
+    };
+    let (a, b, i, n) = (Reg(1), Reg(2), Reg(3), Reg(4));
+
+    // Page fault: the handle replays twice, then is released.
+    let mut phys = PhysMem::new();
+    let (handle, probe) = (VAddr(0x100_0000), VAddr(0x200_0000));
+    let asp = AddressSpace::new(&mut phys, 1);
+    asp.alloc_map(&mut phys, handle, 8, PteFlags::user_data());
+    asp.alloc_map(&mut phys, probe, 8, PteFlags::user_data());
+    asp.set_present(&mut phys, handle, false);
+    let mut fault = fenced()
+        .phys(phys)
+        .context_in(replay_victim(handle, probe), asp)
+        .supervisor(Box::new(CountingReplayer::new(asp, 3)))
+        .build();
+
+    // Mispredict: a short loop, independent work after each refetch point.
+    let mut asm = Assembler::new();
+    let top = asm.label();
+    asm.imm(i, 0).imm(n, 3).bind(top);
+    asm.alu_imm(microscope_cpu::AluOp::Add, i, i, 1)
+        .imm(a, 1)
+        .branch(Cond::Lt, i, n, top)
+        .imm(a, 2)
+        .imm(b, 3)
+        .halt();
+    let mut mispredict = fenced().context(asm.finish()).build();
+
+    // TSX abort: an explicit abort, then independent work in the handler.
+    let mut asm = Assembler::new();
+    let abort = asm.label();
+    asm.xbegin(abort).xabort(1).xend().halt();
+    asm.bind(abort);
+    asm.imm(a, 1).imm(b, 2).halt();
+    let mut txn = fenced().context(asm.finish()).build();
+
+    // Interrupt: single-stepped independent work.
+    let mut asm = Assembler::new();
+    for v in 0..8 {
+        asm.imm(a, v).imm(b, v);
+    }
+    asm.halt();
+    let mut interrupt = fenced()
+        .context(asm.finish())
+        .supervisor(Box::new(Stepper))
+        .build();
+    interrupt.set_step_interrupt(CTX0, Some(1));
+
+    for (m, cause) in [
+        (&mut fault, SquashCause::PageFault),
+        (&mut mispredict, SquashCause::Mispredict),
+        (&mut txn, SquashCause::TxnAbort),
+        (&mut interrupt, SquashCause::Interrupt),
+    ] {
+        assert_eq!(m.run(2_000_000), RunExit::AllHalted, "{cause}");
+        assert_eq!(m.probe().dropped(), 0, "{cause}: the trace is complete");
+        let restarts = fenced_restarts(&m.probe().events(), cause);
+        assert!(restarts >= 1, "{cause}: no restart to check");
+    }
 }
 
 #[test]

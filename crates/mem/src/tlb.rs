@@ -206,6 +206,33 @@ pub struct TlbHierarchyConfig {
     pub l2: TlbConfig,
 }
 
+impl TlbHierarchyConfig {
+    /// Checks the rules [`TlbConfig::new`] asserts, which a struct literal
+    /// bypasses: every `sets` is a power of two and every `ways` non-zero.
+    ///
+    /// # Errors
+    ///
+    /// The first field, in that order, that breaks its rule, as its path
+    /// from a simulation config's `tlb` field (`"tlb.l1d.ways"`) and its
+    /// value.
+    pub fn check(&self) -> Result<(), (&'static str, u64)> {
+        let (l1d, l2) = (self.l1d, self.l2);
+        let powers_of_two = [
+            ("tlb.l1d.sets", l1d.sets as u64),
+            ("tlb.l2.sets", l2.sets as u64),
+        ];
+        let ways = [
+            ("tlb.l1d.ways", l1d.ways as u64),
+            ("tlb.l2.ways", l2.ways as u64),
+        ];
+        let bad_power = powers_of_two
+            .into_iter()
+            .find(|&(_, v)| !v.is_power_of_two());
+        let no_ways = ways.into_iter().find(|&(_, w)| w == 0);
+        bad_power.or(no_ways).map_or(Ok(()), Err)
+    }
+}
+
 impl Default for TlbHierarchyConfig {
     /// 64-entry 4-way L1 DTLB (1 cycle), 1536-entry 12-way L2 (7 cycles) —
     /// Haswell-era numbers.

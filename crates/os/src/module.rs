@@ -409,11 +409,6 @@ impl MicroScopeModule {
         SupervisorAction::cycles(recipe.handler_cycles)
     }
 
-    /// Whether every recipe has disarmed itself.
-    pub fn all_finished(&self) -> bool {
-        self.recipes.iter().all(|(_, s)| s.finished)
-    }
-
     /// Captures the module's mutable state — per-recipe progress and the
     /// shared observation log — for a machine checkpoint.
     pub fn checkpoint(&self) -> ModuleCheckpoint {
@@ -472,7 +467,6 @@ mod tests {
         assert_eq!(r.replay_handle, VAddr(0x1000));
         assert_eq!(r.pivot, Some(VAddr(0x2000)));
         assert_eq!(r.monitor_addrs.len(), 2);
-        assert!(!m.all_finished());
     }
 
     #[test]

@@ -75,10 +75,35 @@ for pin in fig10_replay:10993:10776:800:16:20 aes_step:9819.8:28907:111:4:0 \
     echo "$workload steps:dispatched:replays:pages_cow:restore_pages per op $got"
 done
 
-echo "== sweep smoke: ablate_walk --jobs 2 =="
-# A 5-point sweep fanned over 2 workers; exercises the parallel engine and
-# the shape checks end-to-end in well under a second.
-cargo run -q --release -p microscope-bench --bin ablate_walk -- --jobs 2
+echo "== harnesses: pinned stdout =="
+# The remaining figure and section harnesses at their default arguments
+# (ablate_walk fanned over 2 workers), each run's shape checks gating the
+# exit code and its stdout cksum pinned. Together they drive the TSX-abort,
+# mispredict, interrupt, page-fault and both fence paths of the core, so a
+# core refactor that moves any of them fails here. stderr carries the sweep
+# timing line and is not pinned. A deliberate change to a harness's output
+# re-pins it in the same commit and says why. Fields: binary:cksum:bytes.
+HARNESS_OUT="${TMPDIR:-/tmp}/harness.out"
+for pin in fig10:2978870598:1757 fig11:2134810886:1409 \
+    sec7_handles:2345237831:1010 sec7_rdrand:242707574:696 \
+    table_defenses:2528227292:2254 aes_trace:3747088314:645 \
+    ablate_walk:1818538951:775; do
+    bin=${pin%%:*}
+    want=$(echo "${pin#*:}" | tr : ' ')
+    set --
+    if [ "$bin" = ablate_walk ]; then
+        set -- --jobs 2
+    fi
+    cargo run -q --release -p microscope-bench --bin "$bin" -- "$@" \
+        >"$HARNESS_OUT" 2>/dev/null
+    got=$(cksum <"$HARNESS_OUT")
+    if [ "$got" != "$want" ]; then
+        echo "error: $bin${*:+ $*} stdout cksum $got, pinned $want" >&2
+        exit 1
+    fi
+    echo "$bin${*:+ $*} stdout cksum $got"
+done
+rm -f "$HARNESS_OUT"
 
 echo "== examples: pinned stdout =="
 # Every example at its default arguments, its stdout cksum pinned: the

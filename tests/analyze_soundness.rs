@@ -20,14 +20,25 @@ const HANDLE_PAGE: VAddr = VAddr(0x1000_2000);
 const TABLE_PAGE: VAddr = VAddr(0x1000_4000);
 const MAX_CYCLES: u64 = 5_000_000;
 
-/// One generated victim: a secret load, a faultable handle load, filler,
-/// an optional fence, and a secret-dependent transmitter.
+/// What sits between the handle and the transmitter.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Barrier {
+    /// Nothing: the window is open.
+    None,
+    /// A `Fence`.
+    Fence,
+    /// An `RdRand`, which the default core fences.
+    RdRand,
+}
+
+/// One generated victim: a secret load, a faultable handle load, an
+/// optional barrier, filler, and a secret-dependent transmitter.
 #[derive(Clone, Copy, Debug)]
 struct Shape {
     /// Independent ALU instructions between handle and transmitter.
     filler: usize,
-    /// Whether a fence sits between the handle and the transmitter.
-    fence: bool,
+    /// The barrier right after the handle.
+    barrier: Barrier,
     /// Cache transmitter (secret-indexed load) vs. port (`divsd`).
     use_div: bool,
     /// The secret byte the victim's memory holds.
@@ -35,9 +46,10 @@ struct Shape {
 }
 
 fn arb_shape() -> impl Strategy<Value = Shape> {
-    (0usize..10, 0u8..2, 0u8..2, 0u64..8).prop_map(|(filler, fence, use_div, secret)| Shape {
+    let barriers = [Barrier::None, Barrier::Fence, Barrier::RdRand];
+    (0usize..10, 0usize..3, 0u8..2, 0u64..8).prop_map(move |(filler, b, use_div, secret)| Shape {
         filler,
-        fence: fence == 1,
+        barrier: barriers[b],
         use_div: use_div == 1,
         secret,
     })
@@ -53,15 +65,21 @@ fn build_victim(shape: &Shape) -> (Program, usize, usize) {
         .imm(hp, HANDLE_PAGE.0);
     let handle_pc = 3;
     asm.load(hv, hp, 0); // the replay handle
-    if shape.fence {
-        asm.fence();
+    match shape.barrier {
+        Barrier::None => {}
+        Barrier::Fence => {
+            asm.fence();
+        }
+        Barrier::RdRand => {
+            asm.rdrand(Reg(10));
+        }
     }
     for _ in 0..shape.filler {
         asm.alu(AluOp::Add, Reg(8), Reg(8), Reg(8));
     }
     // Straight-line code: the transmitter's pc is just what comes after
-    // the prologue, the optional fence, the filler, and its own setup.
-    let prologue = handle_pc + 1 + usize::from(shape.fence) + shape.filler;
+    // the prologue, the optional barrier, the filler, and its own setup.
+    let prologue = handle_pc + 1 + usize::from(shape.barrier != Barrier::None) + shape.filler;
     let transmitter_pc;
     if shape.use_div {
         asm.imm_f64(y, 1.5);
@@ -187,13 +205,14 @@ fn statically_open(shape: &Shape) -> bool {
 }
 
 /// Anchors the property against vacuity: an unfenced victim must both
-/// replay in the simulator and be statically open, and the fenced twin
-/// must be statically closed (no plan to miss).
+/// replay in the simulator and be statically open, and its twins behind a
+/// fence or a fenced `RdRand` must be statically closed (no plan to miss)
+/// and must not amplify the transmitter.
 #[test]
 fn anchor_cases_confirm_and_close() {
     let open = Shape {
         filler: 2,
-        fence: false,
+        barrier: Barrier::None,
         use_div: true,
         secret: 3,
     };
@@ -203,19 +222,18 @@ fn anchor_cases_confirm_and_close() {
         "unfenced shape must replay its transmitter (got {m:?})"
     );
     assert!(statically_open(&open));
-    let fenced = Shape {
-        fence: true,
-        ..open
-    };
-    assert!(
-        !statically_open(&fenced),
-        "a fence closes the static window"
-    );
-    let mf = measure(&fenced);
-    assert!(
-        mf.attacked <= mf.baseline,
-        "fenced shape must not amplify the transmitter (got {mf:?})"
-    );
+    for barrier in [Barrier::Fence, Barrier::RdRand] {
+        let fenced = Shape { barrier, ..open };
+        assert!(
+            !statically_open(&fenced),
+            "{barrier:?} closes the static window"
+        );
+        let mf = measure(&fenced);
+        assert!(
+            mf.attacked <= mf.baseline,
+            "{barrier:?} shape must not amplify the transmitter (got {mf:?})"
+        );
+    }
 }
 
 proptest! {

@@ -111,7 +111,7 @@ fn displays_follow_what_failed_colon_why() {
         }
         .to_string(),
         BuildError::InvalidConfig {
-            field: "dram.banks",
+            field: "hierarchy.dram.banks",
             value: 3,
         }
         .to_string(),
