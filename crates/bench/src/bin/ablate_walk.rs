@@ -9,7 +9,7 @@
 //! the leak — scaling with the walk. Pass `--jobs N` to run the tunings
 //! on parallel sweep workers; stdout is identical for any worker count.
 
-use microscope_bench::{extract_count, outln, parse_or_exit, print_table, shape_check};
+use microscope_bench::{exit_with, flags, outln, print_table, run_grid, shape_check};
 use microscope_core::sweep::{SweepPoint, SweepSpec};
 use microscope_core::{RunRequest, SessionBuilder, SimConfig};
 use microscope_cpu::{Assembler, ContextId, Reg};
@@ -80,8 +80,7 @@ fn measure(sim: SimConfig, walk: WalkTuning) -> (u64, usize) {
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = parse_or_exit(extract_count(&mut args, "--jobs"));
+    let flags = flags(&["--jobs"]);
     outln!("== §4.1.2 ablation: walk tuning vs speculation window ==");
     outln!("victim: dependent pointer chase (1 line leaked per ~memory latency)\n");
     let grid = [
@@ -91,23 +90,15 @@ fn main() {
         ("length 4 (fully cold)", WalkTuning::Length { levels: 4 }),
         ("long (flush everything)", WalkTuning::Long),
     ];
-    let sweep = SweepSpec::new("ablate-walk", |pt: &SweepPoint<WalkTuning>| {
+    let spec = SweepSpec::new("ablate-walk", |pt: &SweepPoint<WalkTuning>| {
         let (period, leaked) = measure(pt.sim, pt.payload);
         Ok((period, leaked))
     })
     .points(
         grid.iter()
             .map(|(name, tuning)| (name.to_string(), SimConfig::default(), *tuning)),
-    )
-    .jobs_opt(jobs)
-    .run();
-    eprintln!("{}", sweep.schedule_summary());
-    for (pt, err) in sweep.errors() {
-        eprintln!("error: point {:?}: {err}", pt.label);
-    }
-    if sweep.errors().next().is_some() {
-        std::process::exit(1);
-    }
+    );
+    let sweep = run_grid(spec, flags.jobs);
     let results: Vec<(&str, u64, usize)> = sweep
         .ok()
         .map(|(pt, &(period, leaked))| (pt.label.as_str(), period, leaked))
@@ -146,5 +137,5 @@ fn main() {
             results.last().map(|(_, p, _)| *p).unwrap_or(0)
         ),
     );
-    std::process::exit(if ok1 && ok2 && ok3 { 0 } else { 1 });
+    exit_with(&[ok1, ok2, ok3]);
 }

@@ -7,11 +7,12 @@
 //! scores the union against the reference implementation's ground-truth
 //! line trace.
 
-use microscope_bench::{outln, print_table, shape_check};
+use microscope_bench::{exit_with, flags, outln, print_table, shape_check};
 use microscope_channels::aes_attack::{self, AesAttackConfig};
 use microscope_os::WalkTuning;
 
 fn main() {
+    flags(&[]);
     let cfg = AesAttackConfig {
         key: vec![
             0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf,
@@ -75,5 +76,5 @@ fn main() {
         precision >= 0.85,
         &format!("precision {precision:.2}"),
     );
-    std::process::exit(if ok1 && ok2 && ok3 { 0 } else { 1 });
+    exit_with(&[ok1, ok2, ok3]);
 }

@@ -11,22 +11,20 @@
 //! sweep's merged metric registry.
 
 use microscope_bench::{
-    extract_count, histogram, out, outln, parse_or_exit, print_table, shape_check,
-    summarize_latencies, ExportFlags,
+    exit_with, flags, histogram, out, outln, print_table, run_grid, shape_check,
+    summarize_latencies,
 };
 use microscope_channels::port_contention::{analyze, run_attack, PortContentionConfig};
 use microscope_core::sweep::{SweepPoint, SweepSpec};
 use microscope_core::SimConfig;
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let export = parse_or_exit(ExportFlags::extract(&mut args));
-    let jobs = parse_or_exit(extract_count(&mut args, "--jobs"));
-    let samples: u64 = parse_or_exit(extract_count(&mut args, "--samples")).unwrap_or(10_000);
+    let flags = flags(&["--jobs", "--samples", "--trace-out", "--metrics-out"]);
+    let samples = flags.samples.unwrap_or(10_000);
     let cfg = PortContentionConfig {
         samples,
         replays: samples / 2,
-        probe: export.recorder(),
+        probe: flags.export.recorder(),
         ..PortContentionConfig::default()
     };
     outln!("== Figure 10: port-contention attack ({samples} monitor samples) ==");
@@ -34,26 +32,17 @@ fn main() {
     outln!("replay handle: addq counter on its own page; walk tuning: long\n");
 
     // One sweep point per victim variant; the secret rides as the payload.
-    let sweep = SweepSpec::new("fig10", |pt: &SweepPoint<bool>| {
+    let spec = SweepSpec::new("fig10", |pt: &SweepPoint<bool>| {
         Ok(run_attack(pt.payload, &cfg))
     })
     .point("mul victim (10a)", SimConfig::default(), false)
-    .point("div victim (10b)", SimConfig::default(), true)
-    .jobs_opt(jobs)
-    .run();
-    // Scheduling details go to stderr: stdout stays byte-identical
-    // whatever --jobs was.
-    eprintln!("{}", sweep.schedule_summary());
-    for (pt, err) in sweep.errors() {
-        eprintln!("error: point {:?}: {err}", pt.label);
-    }
+    .point("div victim (10b)", SimConfig::default(), true);
+    let sweep = run_grid(spec, flags.jobs);
     let reports: Vec<_> = sweep.ok().map(|(_, rep)| rep).collect();
-    let [mul, div] = reports.as_slice() else {
-        std::process::exit(1);
-    };
+    let (mul, div) = (reports[0], reports[1]);
     let mut r = analyze(mul.monitor_samples.clone(), div.monitor_samples.clone());
-    r.mul_report = Some((*mul).clone());
-    r.div_report = Some((*div).clone());
+    r.mul_report = Some(mul.clone());
+    r.div_report = Some(div.clone());
 
     outln!(
         "{}",
@@ -91,7 +80,7 @@ fn main() {
     );
 
     if let Some(report) = &r.div_report {
-        microscope_bench::export_or_exit(export.export_with(report, &sweep.merged_metrics()));
+        flags.export.write(report, &sweep.merged_metrics());
     }
 
     let ok1 = shape_check(
@@ -113,5 +102,5 @@ fn main() {
         r.detects_divisions(8.0),
         "presence of two divide instructions detected",
     );
-    std::process::exit(if ok1 && ok2 && ok3 { 0 } else { 1 });
+    exit_with(&[ok1, ok2, ok3]);
 }

@@ -7,9 +7,7 @@
 //! Replays 1 and 2 (primed) are clean and identical: exactly the lines the
 //! replayed window touches hit in L1, everything else misses to memory.
 
-use microscope_bench::{
-    export_or_exit, extract_count, outln, parse_or_exit, print_table, shape_check, ExportFlags,
-};
+use microscope_bench::{exit_with, flags, outln, print_table, run_grid, shape_check};
 use microscope_cache::{CacheConfig, HierarchyConfig};
 use microscope_channels::aes_attack::{self, AesAttackConfig};
 use microscope_core::sweep::{PointOutput, SweepPoint, SweepSpec};
@@ -18,9 +16,7 @@ use microscope_os::WalkTuning;
 use microscope_probe::MetricSet;
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let export = parse_or_exit(ExportFlags::extract(&mut args));
-    let jobs = parse_or_exit(extract_count(&mut args, "--jobs"));
+    let flags = flags(&["--jobs", "--trace-out", "--metrics-out"]);
     // A small L1/L2 gives the table lines a natural lifetime across the
     // hierarchy (on the paper's loaded machine, system noise does this), so
     // the unprimed Replay-0 probe sees L1 hits, L2/L3 hits AND misses.
@@ -32,8 +28,8 @@ fn main() {
     outln!("== Figure 11: Td1 probe latencies across three replays of one iteration ==");
     outln!("victim: OpenSSL-style T-table AES-128 decryption (one block)");
     outln!("handle: rk page; pivot: Td0 page; probes: all 64 Td lines; primed between replays\n");
-    let probe = export.recorder();
-    let sweep = SweepSpec::new("fig11", |pt: &SweepPoint<()>| {
+    let probe = flags.export.recorder();
+    let spec = SweepSpec::new("fig11", |pt: &SweepPoint<()>| {
         let cfg = AesAttackConfig {
             key: (0..16).collect(),
             block: *b"fig11 ciphertext",
@@ -55,17 +51,11 @@ fn main() {
             notes,
         })
     })
-    .point("aes-td1", sim, ())
-    .jobs_opt(jobs)
-    .run();
-    eprintln!("{}", sweep.schedule_summary());
-    for (pt, err) in sweep.errors() {
-        eprintln!("error: point {:?}: {err}", pt.label);
-    }
-    let Some((_, out)) = sweep.ok().next() else {
-        std::process::exit(1);
-    };
-    export_or_exit(export.export_with(&out.report, &sweep.merged_metrics()));
+    .point("aes-td1", sim, ());
+    let sweep = run_grid(spec, flags.jobs);
+    let outs: Vec<_> = sweep.ok().map(|(_, out)| out).collect();
+    let out = outs[0];
+    flags.export.write(&out.report, &sweep.merged_metrics());
     let decrypted_correctly =
         out.notes.get("decrypted_ok") == Some(microscope_probe::MetricValue::Count(1));
     let obs = &out.report.module.observations;
@@ -132,9 +122,5 @@ fn main() {
         out.report.replays(),
         r1_hits
     );
-    std::process::exit(if ok_mix && ok_consistent && ok_bimodal && ok_arch {
-        0
-    } else {
-        1
-    });
+    exit_with(&[ok_mix, ok_consistent, ok_bimodal, ok_arch]);
 }

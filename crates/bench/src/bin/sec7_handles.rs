@@ -8,7 +8,7 @@
 //!   younger code; with `k` primed branches in flight the transmit replays
 //!   up to `k` times — bounded, because branches eventually resolve.
 
-use microscope_bench::{extract_count, outln, parse_or_exit, print_table, shape_check};
+use microscope_bench::{exit_with, flags, outln, print_table, run_grid, shape_check};
 use microscope_core::sweep::{SweepPoint, SweepSpec};
 use microscope_core::SimConfig;
 use microscope_cpu::{
@@ -125,12 +125,11 @@ fn mispredict_replays(k: usize) -> u64 {
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = parse_or_exit(extract_count(&mut args, "--jobs"));
+    let flags = flags(&["--jobs"]);
     outln!("== §7: alternative replay handles ==\n");
     // The five experiments run as one sweep grid — `--jobs N` fans them
     // out; the grid-ordered results keep stdout byte-identical for any N.
-    let sweep = SweepSpec::new("sec7-handles", |pt: &SweepPoint<HandlePoint>| {
+    let spec = SweepSpec::new("sec7-handles", |pt: &SweepPoint<HandlePoint>| {
         Ok(match pt.payload {
             HandlePoint::Tsx { flushes } => {
                 let (aborts, loads) = tsx_replays(flushes);
@@ -153,16 +152,8 @@ fn main() {
             SimConfig::default(),
             HandlePoint::Mispredict { k },
         )
-    }))
-    .jobs_opt(jobs)
-    .run();
-    eprintln!("{}", sweep.schedule_summary());
-    for (pt, err) in sweep.errors() {
-        eprintln!("error: point {:?}: {err}", pt.label);
-    }
-    if sweep.errors().next().is_some() {
-        std::process::exit(1);
-    }
+    }));
+    let sweep = run_grid(spec, flags.jobs);
     let mut rows = Vec::new();
     let (mut aborts, mut loads) = (0, 0);
     let mut mispredict_results = Vec::new();
@@ -219,5 +210,5 @@ fn main() {
         mispredict_results.iter().all(|(k, n)| *n <= *k as u64 + 2),
         "forward progress resumes once branches resolve",
     );
-    std::process::exit(if ok1 && ok2 && ok3 { 0 } else { 1 });
+    exit_with(&[ok1, ok2, ok3]);
 }

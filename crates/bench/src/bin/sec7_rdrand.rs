@@ -7,14 +7,13 @@
 //! through. The lesson is that there should be such a fence, for security
 //! reasons." Both worlds are runnable here via a config bit.
 
-use microscope_bench::{extract_count, outln, parse_or_exit, print_table, shape_check};
+use microscope_bench::{exit_with, flags, outln, print_table, run_grid, shape_check};
 use microscope_core::sweep::{SweepPoint, SweepSpec};
 use microscope_core::SimConfig;
 use microscope_defenses::fences::rdrand_bias_successes;
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = parse_or_exit(extract_count(&mut args, "--jobs"));
+    let flags = flags(&["--jobs"]);
     let trials = 24;
     outln!("== §7.2: biasing RDRAND via selective replay ==");
     outln!("victim: handle load; r = RDRAND; transmit(table[(r&1)<<12]); commit r");
@@ -24,20 +23,12 @@ fn main() {
     // Both worlds run as one sweep grid — `--jobs N` fans them out; each
     // trial seeds its own machine from the trial number, so results (and
     // stdout) are byte-identical for any worker count.
-    let sweep = SweepSpec::new("sec7-rdrand", move |pt: &SweepPoint<bool>| {
+    let spec = SweepSpec::new("sec7-rdrand", move |pt: &SweepPoint<bool>| {
         Ok(rdrand_bias_successes(pt.payload, trials, 1))
     })
     .point("unfenced", SimConfig::default(), false)
-    .point("fenced", SimConfig::default(), true)
-    .jobs_opt(jobs)
-    .run();
-    eprintln!("{}", sweep.schedule_summary());
-    for (pt, err) in sweep.errors() {
-        eprintln!("error: point {:?}: {err}", pt.label);
-    }
-    if sweep.errors().next().is_some() {
-        std::process::exit(1);
-    }
+    .point("fenced", SimConfig::default(), true);
+    let sweep = run_grid(spec, flags.jobs);
     let results: Vec<u32> = sweep.ok().map(|(_, n)| *n).collect();
     let (unfenced, fenced) = (results[0], results[1]);
     print_table(
@@ -73,5 +64,5 @@ fn main() {
         f64::from(fenced) <= 0.75 * f64::from(trials),
         &format!("{fenced}/{trials} ≈ chance — \"there should be such a fence\""),
     );
-    std::process::exit(if ok1 && ok2 { 0 } else { 1 });
+    exit_with(&[ok1, ok2]);
 }

@@ -22,9 +22,7 @@
 use microscope_analyze::{
     analyze, baseline_executions, validate_plan, AnalysisReport, AttackPlan, Handle, Transmitter,
 };
-use microscope_bench::{
-    extract_count, extract_flag, out, outln, parse_or_exit, print_table, shape_check,
-};
+use microscope_bench::{exit_with, flags, out, outln, print_table, run_grid, shape_check};
 use microscope_core::sweep::{SweepError, SweepPoint, SweepSpec};
 use microscope_core::{SessionBuilder, SimConfig};
 use microscope_cpu::{CoreConfig, Program};
@@ -331,25 +329,16 @@ fn run_subject(subject: &Subject, audit_defenses: bool) -> Result<Outcome, Sweep
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = parse_or_exit(extract_count(&mut args, "--jobs"));
-    let audit_defenses = extract_flag(&mut args, "--audit-defenses");
+    let flags = flags(&["--jobs", "--audit-defenses"]);
+    let audit_defenses = flags.audit_defenses;
 
     outln!("== §8 static replay-handle & secret-taint analysis ==\n");
     let subjects = subjects();
-    let sweep = SweepSpec::new("sec8-analyze", |pt: &SweepPoint<Subject>| {
+    let spec = SweepSpec::new("sec8-analyze", |pt: &SweepPoint<Subject>| {
         run_subject(&pt.payload, audit_defenses)
     })
-    .points(subjects.iter().map(|s| (s.name.to_string(), s.sim, *s)))
-    .jobs_opt(jobs)
-    .run();
-    eprintln!("{}", sweep.schedule_summary());
-    for (pt, err) in sweep.errors() {
-        eprintln!("error: point {:?}: {err}", pt.label);
-    }
-    if sweep.errors().next().is_some() {
-        std::process::exit(1);
-    }
+    .points(subjects.iter().map(|s| (s.name.to_string(), s.sim, *s)));
+    let sweep = run_grid(spec, flags.jobs);
 
     let outcomes: Vec<(&str, &Outcome)> = sweep.ok().map(|(pt, o)| (pt.payload.name, o)).collect();
 
@@ -441,5 +430,5 @@ fn main() {
     } else {
         true
     };
-    std::process::exit(if ok1 && ok2 && ok3 && ok4 { 0 } else { 1 });
+    exit_with(&[ok1, ok2, ok3, ok4]);
 }

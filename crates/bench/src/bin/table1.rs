@@ -9,9 +9,7 @@
 //! grid — pass `--jobs N` to fan them out across workers; the printed
 //! table is identical for any worker count.
 
-use microscope_bench::{
-    export_or_exit, extract_count, outln, parse_or_exit, print_table, shape_check, ExportFlags,
-};
+use microscope_bench::{exit_with, flags, outln, print_table, run_grid, shape_check};
 use microscope_channels::taxonomy::{catalog, Measurement, Noise, Temporal};
 use microscope_core::sweep::{SweepPoint, SweepSpec};
 use microscope_core::SimConfig;
@@ -20,10 +18,8 @@ use microscope_core::SimConfig;
 type RowRun = (fn(u32, u64) -> Measurement, u32);
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let export = parse_or_exit(ExportFlags::extract(&mut args));
-    let jobs = parse_or_exit(extract_count(&mut args, "--jobs"));
-    let trials: u32 = parse_or_exit(extract_count(&mut args, "--trials")).unwrap_or(30);
+    let flags = flags(&["--jobs", "--trials", "--trace-out", "--metrics-out"]);
+    let (export, trials) = (flags.export, flags.trials.unwrap_or(30));
     outln!("== Table 1: side-channel taxonomy, measured ({trials} trials/row) ==\n");
     let rows_catalog = catalog();
     // Each taxonomy row is one sweep point; the payload carries the row's
@@ -44,22 +40,14 @@ fn main() {
             )
         })
         .collect();
-    let sweep = SweepSpec::new("table1", |pt: &SweepPoint<RowRun>| {
+    let spec = SweepSpec::new("table1", |pt: &SweepPoint<RowRun>| {
         let (experiment, t) = pt.payload;
         // The historical per-row seed formula, kept so the measured
         // numbers match the serial harness exactly.
         Ok(experiment(t, 0xdecade + t as u64))
     })
-    .points(defs)
-    .jobs_opt(jobs)
-    .run();
-    eprintln!("{}", sweep.schedule_summary());
-    for (pt, err) in sweep.errors() {
-        eprintln!("error: point {:?}: {err}", pt.label);
-    }
-    if sweep.errors().next().is_some() {
-        std::process::exit(1);
-    }
+    .points(defs);
+    let sweep = run_grid(spec, flags.jobs);
     let results: Vec<_> = rows_catalog
         .iter()
         .zip(sweep.ok().map(|(_, m)| *m))
@@ -151,7 +139,7 @@ fn main() {
             ..Default::default()
         };
         let report = microscope_channels::port_contention::run_attack(true, &cfg);
-        export_or_exit(export.export_with(&report, &sweep.merged_metrics()));
+        export.write(&report, &sweep.merged_metrics());
     }
-    std::process::exit(if ok1 && ok2 && ok3 && ok4 { 0 } else { 1 });
+    exit_with(&[ok1, ok2, ok3, ok4]);
 }

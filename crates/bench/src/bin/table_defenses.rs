@@ -3,16 +3,15 @@
 //! run as one sweep grid — pass `--jobs N` to fan them out; the table is
 //! identical for any worker count.
 
-use microscope_bench::{extract_count, outln, parse_or_exit, print_table, shape_check};
+use microscope_bench::{exit_with, flags, outln, print_table, run_grid, shape_check};
 use microscope_core::sweep::{SweepPoint, SweepSpec};
 use microscope_core::SimConfig;
 use microscope_defenses::{evaluators, DefenseOutcome};
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = parse_or_exit(extract_count(&mut args, "--jobs"));
+    let flags = flags(&["--jobs"]);
     outln!("== §8: possible countermeasures, evaluated against the attack ==\n");
-    let sweep = SweepSpec::new(
+    let spec = SweepSpec::new(
         "table-defenses",
         |pt: &SweepPoint<fn() -> DefenseOutcome>| Ok((pt.payload)()),
     )
@@ -20,16 +19,8 @@ fn main() {
         evaluators()
             .into_iter()
             .map(|(name, f)| (name.to_string(), SimConfig::default(), f)),
-    )
-    .jobs_opt(jobs)
-    .run();
-    eprintln!("{}", sweep.schedule_summary());
-    for (pt, err) in sweep.errors() {
-        eprintln!("error: point {:?}: {err}", pt.label);
-    }
-    if sweep.errors().next().is_some() {
-        std::process::exit(1);
-    }
+    );
+    let sweep = run_grid(spec, flags.jobs);
     let outcomes: Vec<DefenseOutcome> = sweep.ok().map(|(_, o)| o.clone()).collect();
     let rows: Vec<Vec<String>> = outcomes
         .iter()
@@ -96,9 +87,5 @@ fn main() {
         get("vs cache").effective && !get("vs port").effective,
         "coverage gap exactly as the paper argues",
     );
-    std::process::exit(if ok1 && ok2 && ok3 && ok4 && ok5 {
-        0
-    } else {
-        1
-    });
+    exit_with(&[ok1, ok2, ok3, ok4, ok5]);
 }

@@ -1,19 +1,31 @@
-//! Shared output helpers for the figure/table harness binaries.
+//! The front end of the figure/table harness binaries: their flags,
+//! their sweep runner, their exports and their stdout.
 //!
 //! Each binary under `src/bin/` regenerates one table or figure from the
-//! paper's evaluation:
+//! paper's evaluation and accepts only the flags listed for it; any other
+//! argument exits 2:
 //!
-//! | binary | paper artifact |
-//! |---|---|
-//! | `fig10` | Figure 10a/10b — port-contention latencies, mul vs div victim |
-//! | `fig11` | Figure 11 — Td1 probe latencies across three replays |
-//! | `table1` | Table 1 — side-channel taxonomy, measured |
-//! | `table_defenses` | §8 — countermeasure evaluation |
-//! | `sec7_handles` | §7 — TSX-abort and mispredict replay handles |
-//! | `sec7_rdrand` | §7.2 — RDRAND biasing vs the fence |
-//! | `aes_trace` | §6.2 — full single-run AES access-trace extraction |
-//! | `ablate_walk` | §4.1.2 — speculation-window size vs walk tuning |
-//! | `sec8_analyze` | static attack-plan analysis, validated in-simulator |
+//! | binary | paper artifact | flags |
+//! |---|---|---|
+//! | `fig10` | Figure 10a/10b — port-contention latencies, mul vs div victim | `--jobs`, `--samples`, `--trace-out`, `--metrics-out` |
+//! | `fig11` | Figure 11 — Td1 probe latencies across three replays | `--jobs`, `--trace-out`, `--metrics-out` |
+//! | `table1` | Table 1 — side-channel taxonomy, measured | `--jobs`, `--trials`, `--trace-out`, `--metrics-out` |
+//! | `table_defenses` | §8 — countermeasure evaluation | `--jobs` |
+//! | `sec7_handles` | §7 — TSX-abort and mispredict replay handles | `--jobs` |
+//! | `sec7_rdrand` | §7.2 — RDRAND biasing vs the fence | `--jobs` |
+//! | `aes_trace` | §6.2 — full single-run AES access-trace extraction | none |
+//! | `ablate_walk` | §4.1.2 — speculation-window size vs walk tuning | `--jobs` |
+//! | `sec8_analyze` | static attack-plan analysis, validated in-simulator | `--jobs`, `--audit-defenses` |
+//!
+//! The exit policy is stated here once: 2 for a bad command line
+//! ([`flags`]); 1 for a failed sweep point ([`run_grid`]), export
+//! ([`ExportFlags::write`]), stdout write ([`write_stdout`]) or shape check
+//! ([`exit_with`]); 0 otherwise, a reader closing stdout early included.
+//! The library crates never exit.
+
+use microscope_core::sweep::{SweepOutcome, SweepSpec};
+use microscope_core::AttackReport;
+use microscope_probe::MetricSet;
 
 /// The workspace's one JSON module, re-exported for the repo benchmark, `perfbench`.
 pub use microscope_probe::json;
@@ -132,12 +144,12 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// `--trace-out` / `--metrics-out` flags shared by the figure binaries.
+/// `--trace-out` / `--metrics-out`: where a figure binary writes its
+/// cross-layer trace and metrics.
 ///
 /// When either is set the binary enables the cross-layer probe, runs the
 /// attack, and writes the Chrome trace-event JSON (Perfetto-loadable) and/or
-/// the JSONL metric dump of the resulting
-/// [`AttackReport`](microscope_core::AttackReport).
+/// the JSONL metric dump of the resulting [`AttackReport`].
 #[derive(Clone, Debug, Default)]
 pub struct ExportFlags {
     /// Destination for the Chrome-trace JSON (`--trace-out PATH`).
@@ -146,11 +158,32 @@ pub struct ExportFlags {
     pub metrics_out: Option<std::path::PathBuf>,
 }
 
-/// A command-line parsing failure, reported by the library and turned
-/// into an exit code by the binary (library code never calls
-/// `process::exit`).
+/// Every flag a harness binary can take. Each binary names the ones it
+/// accepts when it calls [`flags`]; a flag it does not accept is an
+/// [`ArgError::Unknown`], never silently ignored.
+#[derive(Clone, Debug, Default)]
+pub struct Flags {
+    /// `--jobs N`: sweep workers (`None` = available parallelism).
+    pub jobs: Option<usize>,
+    /// `--samples N`: monitor samples (`None` = the binary's default).
+    pub samples: Option<u64>,
+    /// `--trials N`: trials per row (`None` = the binary's default).
+    pub trials: Option<u32>,
+    /// `--audit-defenses`, a bare switch.
+    pub audit_defenses: bool,
+    /// `--trace-out PATH` / `--metrics-out PATH`.
+    pub export: ExportFlags,
+}
+
+/// A command-line parsing failure. [`flags`] turns it into exit status 2.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ArgError {
+    /// An argument the binary does not accept: an unknown flag, a
+    /// positional argument, or a value given to a bare switch.
+    Unknown {
+        /// The argument as given.
+        arg: String,
+    },
     /// A flag that requires a value was last on the line or followed by
     /// another flag.
     MissingValue {
@@ -171,6 +204,9 @@ pub enum ArgError {
 impl std::fmt::Display for ArgError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            ArgError::Unknown { arg } => {
+                write!(f, "parsing {arg} failed: not an accepted argument")
+            }
             ArgError::MissingValue { flag } => {
                 write!(f, "parsing {flag} failed: a value must follow it")
             }
@@ -188,105 +224,119 @@ impl std::fmt::Display for ArgError {
 
 impl std::error::Error for ArgError {}
 
-/// Writing an export artifact failed.
-#[derive(Debug)]
-pub struct ExportError {
-    /// The destination that could not be written.
-    pub path: std::path::PathBuf,
-    /// The underlying I/O error.
-    pub source: std::io::Error,
+/// Parses `args` (the program name already dropped) into [`Flags`],
+/// accepting only the flags named in `accepted`. Valued flags take
+/// `--flag V` or `--flag=V`, and a repeated flag keeps its last value;
+/// `--audit-defenses` takes none. A valued flag that is last or followed by
+/// another `--` flag is [`ArgError::MissingValue`]; a count that is not a
+/// whole number >= 1 is [`ArgError::InvalidValue`].
+pub fn parse_flags(args: &[String], accepted: &[&str]) -> Result<Flags, ArgError> {
+    let mut flags = Flags::default();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        let (name, inline) = match arg.split_once('=') {
+            Some((name, value)) if name.starts_with("--") => (name, Some(value)),
+            _ => (arg.as_str(), None),
+        };
+        let unknown = || ArgError::Unknown { arg: arg.clone() };
+        if !accepted.contains(&name) {
+            return Err(unknown());
+        }
+        if name == "--audit-defenses" {
+            if inline.is_some() {
+                return Err(unknown());
+            }
+            flags.audit_defenses = true;
+            continue;
+        }
+        let value = match inline {
+            Some(v) => v,
+            None => match rest.next() {
+                Some(v) if !v.starts_with("--") => v.as_str(),
+                _ => return Err(ArgError::MissingValue { flag: name.into() }),
+            },
+        };
+        match name {
+            "--jobs" => flags.jobs = Some(count(name, value)?),
+            "--samples" => flags.samples = Some(count(name, value)?),
+            "--trials" => flags.trials = Some(count(name, value)?),
+            "--trace-out" => flags.export.trace_out = Some(value.into()),
+            "--metrics-out" => flags.export.metrics_out = Some(value.into()),
+            _ => return Err(unknown()),
+        }
+    }
+    Ok(flags)
 }
 
-impl std::fmt::Display for ExportError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "export to {} failed: {}",
-            self.path.display(),
-            self.source
-        )
+/// Parses a count flag's value: a whole number >= 1.
+fn count<T>(flag: &str, value: &str) -> Result<T, ArgError>
+where
+    T: std::str::FromStr + PartialOrd + From<u8>,
+{
+    match value.parse::<T>() {
+        Ok(n) if n >= T::from(1) => Ok(n),
+        _ => Err(ArgError::InvalidValue {
+            flag: flag.into(),
+            value: value.into(),
+            expected: "a whole number >= 1",
+        }),
     }
 }
 
-impl std::error::Error for ExportError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.source)
-    }
-}
-
-/// Unwraps a parse result or exits with code 2 and the error on stderr —
-/// the *binaries'* policy for [`ArgError`], kept out of the parsing code.
-pub fn parse_or_exit<T>(result: Result<T, ArgError>) -> T {
-    result.unwrap_or_else(|e| {
+/// The binary's [`Flags`], parsed from `std::env::args` by [`parse_flags`].
+/// A bad command line prints the error and the accepted flags to stderr
+/// and exits 2 before anything reaches stdout.
+pub fn flags(accepted: &[&str]) -> Flags {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    parse_flags(&args, accepted).unwrap_or_else(|e| {
         eprintln!("error: {e}");
+        if accepted.is_empty() {
+            eprintln!("this binary takes no flags");
+        } else {
+            let usage: Vec<String> = accepted
+                .iter()
+                .map(|flag| match *flag {
+                    "--audit-defenses" => flag.to_string(),
+                    "--trace-out" | "--metrics-out" => format!("{flag} PATH"),
+                    _ => format!("{flag} N"),
+                })
+                .collect();
+            eprintln!("accepted flags: {}", usage.join(", "));
+        }
         std::process::exit(2);
     })
 }
 
-/// Pulls one valued flag (`--flag V` or `--flag=V`) out of `args`,
-/// removing it. A following `--`-prefixed token or end-of-args is a
-/// [`ArgError::MissingValue`], not a silent swallow.
-pub fn extract_flag_value(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, ArgError> {
-    let prefix = format!("{flag}=");
-    let mut found = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == flag {
-            args.remove(i);
-            if i >= args.len() || args[i].starts_with("--") {
-                return Err(ArgError::MissingValue { flag: flag.into() });
-            }
-            found = Some(args.remove(i));
-        } else if let Some(v) = args[i].strip_prefix(&prefix) {
-            found = Some(v.to_string());
-            args.remove(i);
-        } else {
-            i += 1;
-        }
+/// Runs a harness's sweep grid on `jobs` workers (`None` = available
+/// parallelism). The scheduling summary and each failed point go to
+/// stderr, so stdout is byte-identical for any worker count. A failed point
+/// exits 1, so the outcome returned has every point's record in
+/// [`ok`](SweepOutcome::ok), in grid order.
+pub fn run_grid<P: Sync, R: Send>(
+    spec: SweepSpec<'_, P, R>,
+    jobs: Option<usize>,
+) -> SweepOutcome<P, R> {
+    let spec = match jobs {
+        Some(n) => spec.jobs(n),
+        None => spec,
+    };
+    let sweep = spec.run();
+    eprintln!("{}", sweep.schedule_summary());
+    for (pt, err) in sweep.errors() {
+        eprintln!("error: point {:?}: {err}", pt.label);
     }
-    Ok(found)
+    if sweep.errors().next().is_some() {
+        std::process::exit(1);
+    }
+    sweep
 }
 
-/// Removes a boolean flag (`--flag`) from `args`, returning whether it
-/// was present (any number of occurrences collapses to one).
-pub fn extract_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    let before = args.len();
-    args.retain(|a| a != flag);
-    args.len() != before
-}
-
-/// Extracts a count flag (`--flag N` / `--flag=N`, N >= 1) such as
-/// `--jobs` (the sweep worker count), `--samples` or `--trials`. `None`
-/// means the flag was absent and the binary's default applies; a value
-/// that is not a whole number >= 1 is an [`ArgError::InvalidValue`].
-pub fn extract_count<T>(args: &mut Vec<String>, flag: &str) -> Result<Option<T>, ArgError>
-where
-    T: std::str::FromStr + PartialOrd + From<u8>,
-{
-    match extract_flag_value(args, flag)? {
-        None => Ok(None),
-        Some(v) => match v.parse::<T>() {
-            Ok(n) if n >= T::from(1) => Ok(Some(n)),
-            _ => Err(ArgError::InvalidValue {
-                flag: flag.into(),
-                value: v,
-                expected: "a whole number >= 1",
-            }),
-        },
-    }
+/// Ends the binary: status 0 when every shape check passed, 1 otherwise.
+pub fn exit_with(checks: &[bool]) -> ! {
+    std::process::exit(if checks.iter().all(|ok| *ok) { 0 } else { 1 })
 }
 
 impl ExportFlags {
-    /// Extracts the export flags from `args` (removing them), leaving
-    /// unrelated arguments for the binary's own parser. A dangling
-    /// `--trace-out`/`--metrics-out` with no PATH is an error.
-    pub fn extract(args: &mut Vec<String>) -> Result<ExportFlags, ArgError> {
-        Ok(ExportFlags {
-            trace_out: extract_flag_value(args, "--trace-out")?.map(Into::into),
-            metrics_out: extract_flag_value(args, "--metrics-out")?.map(Into::into),
-        })
-    }
-
     /// Whether any export was requested (tracing must then be enabled).
     pub fn active(&self) -> bool {
         self.trace_out.is_some() || self.metrics_out.is_some()
@@ -299,27 +349,19 @@ impl ExportFlags {
             .then(microscope_probe::RecorderConfig::default)
     }
 
-    /// Writes the report's trace and metrics to the requested paths.
-    pub fn export(&self, report: &microscope_core::AttackReport) -> Result<(), ExportError> {
-        self.export_with(report, &microscope_probe::MetricSet::new())
-    }
-
-    /// Like [`export`](Self::export), but merges `extra` metrics (e.g. a
-    /// sweep's aggregated registry) into the metric dump.
-    pub fn export_with(
-        &self,
-        report: &microscope_core::AttackReport,
-        extra: &microscope_probe::MetricSet,
-    ) -> Result<(), ExportError> {
+    /// Writes the report's trace, and its metrics with `extra` (e.g. a
+    /// sweep's aggregated registry) merged in, to the requested paths,
+    /// naming each file on stdout. A failed write exits 1 with the path and
+    /// the error on stderr.
+    pub fn write(&self, report: &AttackReport, extra: &MetricSet) {
         let write = |path: &std::path::Path, contents: &str| {
-            std::fs::write(path, contents).map_err(|source| ExportError {
-                path: path.to_path_buf(),
-                source,
-            })
+            if let Err(e) = std::fs::write(path, contents) {
+                eprintln!("error: export to {} failed: {e}", path.display());
+                std::process::exit(1);
+            }
         };
         if let Some(path) = &self.trace_out {
-            let json = microscope_probe::export::chrome_trace(&report.trace);
-            write(path, &json)?;
+            write(path, &microscope_probe::export::chrome_trace(&report.trace));
             outln!(
                 "wrote {} trace events ({} dropped) to {}",
                 report.trace.len(),
@@ -330,18 +372,9 @@ impl ExportFlags {
         if let Some(path) = &self.metrics_out {
             let mut metrics = report.metrics.clone();
             metrics.merge(extra);
-            write(path, &metrics.to_jsonl())?;
+            write(path, &metrics.to_jsonl());
             outln!("wrote {} metrics to {}", metrics.len(), path.display());
         }
-        Ok(())
-    }
-}
-
-/// Unwraps an export result or exits with code 1 and the error on stderr.
-pub fn export_or_exit(result: Result<(), ExportError>) {
-    if let Err(e) = result {
-        eprintln!("error: {e}");
-        std::process::exit(1);
     }
 }
 
@@ -381,83 +414,102 @@ mod tests {
         assert!(!shape_check("t", false, "d"));
     }
 
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
+    fn parse(list: &[&str], accepted: &[&str]) -> Result<Flags, ArgError> {
+        let args: Vec<String> = list.iter().map(|s| s.to_string()).collect();
+        parse_flags(&args, accepted)
     }
 
+    const ALL: &[&str] = &[
+        "--jobs",
+        "--samples",
+        "--trials",
+        "--audit-defenses",
+        "--trace-out",
+        "--metrics-out",
+    ];
+
     #[test]
-    fn export_flags_extract_both_forms_and_leave_the_rest() {
-        let mut a = args(&[
-            "--samples",
-            "9",
-            "--trace-out",
-            "t.json",
-            "--metrics-out=m.jsonl",
-        ]);
-        let flags = ExportFlags::extract(&mut a).expect("well-formed flags");
+    fn both_value_forms_parse_and_the_last_value_wins() {
+        let f = parse(
+            &[
+                "--jobs",
+                "4",
+                "--samples=500",
+                "--trials",
+                "3",
+                "--audit-defenses",
+                "--trace-out",
+                "t.json",
+                "--metrics-out=m.jsonl",
+                "--jobs=2",
+            ],
+            ALL,
+        )
+        .expect("well-formed flags");
         assert_eq!(
-            flags.trace_out.as_deref(),
+            (f.jobs, f.samples, f.trials, f.audit_defenses),
+            (Some(2), Some(500), Some(3), true)
+        );
+        assert_eq!(
+            f.export.trace_out.as_deref(),
             Some(std::path::Path::new("t.json"))
         );
         assert_eq!(
-            flags.metrics_out.as_deref(),
+            f.export.metrics_out.as_deref(),
             Some(std::path::Path::new("m.jsonl"))
         );
-        assert!(flags.active());
-        assert_eq!(a, args(&["--samples", "9"]));
-    }
-
-    #[test]
-    fn dangling_flag_is_an_error_not_an_exit() {
-        let mut a = args(&["--trace-out"]);
-        let err = ExportFlags::extract(&mut a).expect_err("dangling flag rejected");
+        assert!(f.export.active());
         assert_eq!(
-            err,
-            ArgError::MissingValue {
-                flag: "--trace-out".into()
-            }
+            parse(&[], ALL).map(|f| (f.jobs, f.audit_defenses, f.export.active())),
+            Ok((None, false, false))
         );
-        // A following flag must not be swallowed as the value either.
-        let mut a = args(&["--metrics-out", "--jobs", "2"]);
-        assert!(ExportFlags::extract(&mut a).is_err());
-        assert!(err.to_string().contains("--trace-out"));
+    }
+
+    fn err(list: &[&str], accepted: &[&str]) -> Option<ArgError> {
+        parse(list, accepted).err()
     }
 
     #[test]
-    fn count_flags_parse_and_validate() {
-        let mut a = args(&["--jobs", "4", "x"]);
-        assert_eq!(extract_count(&mut a, "--jobs"), Ok(Some(4usize)));
-        assert_eq!(a, args(&["x"]));
-        let mut a = args(&["--samples=500"]);
-        assert_eq!(extract_count(&mut a, "--samples"), Ok(Some(500u64)));
-        assert!(a.is_empty());
-        let mut a = args(&["--jobs", "2", "--trials=3"]);
-        assert_eq!(extract_count(&mut a, "--trials"), Ok(Some(3u32)));
-        assert_eq!(a, args(&["--jobs", "2"]));
-        let mut a = args(&[]);
-        assert_eq!(extract_count::<usize>(&mut a, "--jobs"), Ok(None));
+    fn arguments_not_accepted_are_unknown() {
+        let unknown = |arg: &str| Some(ArgError::Unknown { arg: arg.into() });
+        assert_eq!(err(&["--samples", "9"], &["--jobs"]), unknown("--samples"));
+        assert_eq!(
+            err(&["--jobs", "2", "extra"], &["--jobs"]),
+            unknown("extra")
+        );
+        assert_eq!(
+            err(&["--audit-defenses=1"], ALL),
+            unknown("--audit-defenses=1")
+        );
+        assert_eq!(err(&["--smaples=50"], ALL), unknown("--smaples=50"));
+        assert_eq!(err(&["--jobs"], &[]), unknown("--jobs"));
+    }
+
+    #[test]
+    fn a_flag_without_its_value_is_missing_one() {
+        let missing = |flag: &str| Some(ArgError::MissingValue { flag: flag.into() });
+        assert_eq!(err(&["--trials"], ALL), missing("--trials"));
+        assert_eq!(err(&["--trace-out"], ALL), missing("--trace-out"));
+        // A following flag must not be swallowed as the value either.
+        assert_eq!(
+            err(&["--metrics-out", "--jobs", "2"], ALL),
+            missing("--metrics-out")
+        );
+    }
+
+    #[test]
+    fn counts_are_whole_numbers_of_at_least_one() {
         for bad in ["0", "x", "-3", "2.5"] {
-            let mut a = args(&["--samples", bad]);
             assert_eq!(
-                extract_count::<u64>(&mut a, "--samples"),
-                Err(ArgError::InvalidValue {
+                err(&["--samples", bad], ALL),
+                Some(ArgError::InvalidValue {
                     flag: "--samples".into(),
                     value: bad.into(),
                     expected: "a whole number >= 1",
                 })
             );
         }
-        let mut a = args(&["--trials"]);
-        assert_eq!(
-            extract_count::<u32>(&mut a, "--trials"),
-            Err(ArgError::MissingValue {
-                flag: "--trials".into()
-            })
-        );
-        let mut a = args(&["--trials", "--jobs", "2"]);
-        assert!(extract_count::<u32>(&mut a, "--trials").is_err());
-        let err = extract_count::<usize>(&mut args(&["--jobs", "many"]), "--jobs")
-            .expect_err("non-numeric rejected");
-        assert!(err.to_string().contains("--jobs"));
+        let msg = err(&["--jobs=many"], ALL).map(|e| e.to_string());
+        assert!(msg.is_some_and(|m| m.contains("--jobs")));
     }
 }

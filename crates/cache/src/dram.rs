@@ -91,12 +91,6 @@ impl DramModel {
         line.0 / self.cfg.lines_per_row / self.cfg.banks as u64
     }
 
-    /// Whether the row containing `line` is currently open in its bank.
-    /// DRAMA-style attackers use this to infer a victim's recent accesses.
-    pub fn is_row_open(&self, line: LineAddr) -> bool {
-        self.open_rows[self.bank_of(line)] == Some(self.row_of(line))
-    }
-
     /// Performs an access, returning its latency and updating the open row.
     pub fn access(&mut self, line: LineAddr) -> u64 {
         let bank = self.bank_of(line);
@@ -173,9 +167,7 @@ mod tests {
         assert_eq!(d.bank_of(a), d.bank_of(b));
         assert_ne!(d.row_of(a), d.row_of(b));
         d.access(a);
-        assert!(d.is_row_open(a));
-        d.access(b);
-        assert!(!d.is_row_open(a));
+        assert_eq!(d.access(b), cfg.row_miss_latency);
         assert_eq!(d.access(a), cfg.row_miss_latency);
     }
 

@@ -281,12 +281,6 @@ impl MemoryHierarchy {
         out
     }
 
-    /// Touches every address in `set` (used to prime/evict). Returns total
-    /// latency of the touches.
-    pub fn touch_all(&mut self, set: &[PAddr]) -> u64 {
-        set.iter().map(|a| self.access(*a).latency).sum()
-    }
-
     /// Bank-conflict bookkeeping for the current cycle; see [`BankModel`].
     pub fn bank_model(&mut self) -> &mut BankModel {
         &mut self.banks
@@ -394,7 +388,9 @@ mod tests {
         h.access(target);
         let set = h.l3_eviction_set(target, PAddr(0x4000_0000));
         assert_eq!(set.len(), h.config().l3.ways);
-        h.touch_all(&set);
+        for a in &set {
+            h.access(*a);
+        }
         assert_eq!(h.level_of(target), None);
     }
 

@@ -32,11 +32,6 @@ impl PrimeProbe {
         }
     }
 
-    /// The eviction set (exposed for tests and workload accounting).
-    pub fn eviction_set(&self) -> &[PAddr] {
-        &self.eviction_set
-    }
-
     /// Prime: fill the target set with attacker lines.
     pub fn prime(&self, hw: &mut HwParts) {
         for a in &self.eviction_set {

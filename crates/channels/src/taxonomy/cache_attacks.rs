@@ -7,7 +7,7 @@ use microscope_cache::{HierarchyConfig, MemoryHierarchy, PAddr};
 use microscope_cpu::{
     ContextId, FaultEvent, HwParts, InterruptEvent, MachineBuilder, Supervisor, SupervisorAction,
 };
-use microscope_mem::{AddressSpace, PhysMem, PteFlags, VAddr};
+use microscope_mem::{AddressSpace, PhysMem, VAddr};
 use microscope_victims::loop_secret;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -72,16 +72,7 @@ struct SteppingProber {
 impl Supervisor for SteppingProber {
     fn on_page_fault(&mut self, hw: &mut HwParts, ev: &FaultEvent) -> SupervisorAction {
         // Honest paging for anything that faults.
-        if self
-            .aspace
-            .set_present(&mut hw.phys, ev.fault.vaddr, true)
-            .is_none()
-        {
-            let frame = hw.phys.alloc_frame();
-            self.aspace
-                .map(&mut hw.phys, ev.fault.vaddr, frame, PteFlags::user_data());
-        }
-        hw.tlb.invlpg(ev.fault.vaddr, self.aspace.pcid());
+        hw.page_in(self.aspace, ev.fault.vaddr);
         SupervisorAction::cycles(600)
     }
 

@@ -3,10 +3,7 @@
 //! every page event it cares about.
 
 use super::Measurement;
-use microscope_cpu::{
-    Assembler, Cond, ContextId, FaultEvent, HwParts, MachineBuilder, Reg, Supervisor,
-    SupervisorAction,
-};
+use microscope_cpu::{Assembler, Cond, ContextId, HonestSupervisor, MachineBuilder, Reg};
 use microscope_mem::{AddressSpace, PhysMem, PteFlags, VAddr, PAGE_BYTES};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -48,29 +45,6 @@ fn secret_access_victim(
     asm.finish()
 }
 
-/// A pager that honestly maps each faulting page — the Xu-et-al. controlled
-/// channel. The OS's observation is which pages it mapped, read back from
-/// the page tables once the victim halts.
-struct ServicingPager {
-    aspace: AddressSpace,
-}
-
-impl Supervisor for ServicingPager {
-    fn on_page_fault(&mut self, hw: &mut HwParts, ev: &FaultEvent) -> SupervisorAction {
-        if self
-            .aspace
-            .set_present(&mut hw.phys, ev.fault.vaddr, true)
-            .is_none()
-        {
-            let frame = hw.phys.alloc_frame();
-            self.aspace
-                .map(&mut hw.phys, ev.fault.vaddr, frame, PteFlags::user_data());
-        }
-        hw.tlb.invlpg(ev.fault.vaddr, self.aspace.pcid());
-        SupervisorAction::cycles(600)
-    }
-}
-
 /// Controlled side channel: both candidate pages are unmapped; the OS sees
 /// exactly one fault and learns the branch direction (page granularity,
 /// zero noise).
@@ -105,18 +79,17 @@ fn controlled_observation(secret: bool) -> (bool, bool) {
     let mut phys = PhysMem::new();
     let aspace = AddressSpace::new(&mut phys, 1);
     let prog = secret_access_victim(&mut phys, aspace, secret);
-    // Neither page is mapped: the access itself faults.
-    let pager = ServicingPager { aspace };
+    // Neither page is mapped: the access itself faults, and an honest pager
+    // maps it — the Xu-et-al. controlled channel.
     let mut m = MachineBuilder::new()
         .phys(phys)
         .context_in(prog, aspace)
-        .supervisor(Box::new(pager))
+        .supervisor(Box::new(HonestSupervisor::new(aspace)))
         .build();
     m.run(2_000_000);
     assert!(m.context(ContextId(0)).halted());
-    // Read the observation back out: which page did the OS see fault?
-    // (The pager was moved into the machine; infer from page tables —
-    // exactly one of the two pages is now mapped.)
+    // Read the observation back out of the page tables: exactly one of the
+    // two pages is now mapped, the one the OS saw fault.
     let mapped = |page| aspace.translate(&m.hw().phys, page, false).is_ok();
     (mapped(PAGE_A), mapped(PAGE_B))
 }

@@ -235,15 +235,6 @@ impl<'a, P, R> SweepSpec<'a, P, R> {
         self
     }
 
-    /// Sets the worker count only when `jobs` is `Some` (convenient for
-    /// threading an optional `--jobs N` flag through).
-    pub fn jobs_opt(mut self, jobs: Option<usize>) -> Self {
-        if jobs.is_some() {
-            self.jobs = jobs;
-        }
-        self
-    }
-
     /// Number of grid points defined so far.
     pub fn len(&self) -> usize {
         self.defs.len()

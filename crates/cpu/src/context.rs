@@ -176,15 +176,6 @@ impl Context {
         f64::from_bits(self.reg(r))
     }
 
-    /// Sets a register architecturally (host-side setup between runs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is `Reg(32)` or above, as [`Context::reg`] does.
-    pub fn set_reg(&mut self, r: Reg, value: u64) {
-        self.arch_regs[r.index()] = value;
-    }
-
     /// The context's address space handle.
     pub fn aspace(&self) -> AddressSpace {
         self.aspace
@@ -555,7 +546,7 @@ mod tests {
     #[test]
     fn reg_f64_round_trip() {
         let mut c = ctx();
-        c.set_reg(Reg(5), 2.5f64.to_bits());
+        c.arch_regs[Reg(5).index()] = 2.5f64.to_bits();
         assert_eq!(c.reg_f64(Reg(5)), 2.5);
     }
 }

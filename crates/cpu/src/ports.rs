@@ -117,11 +117,6 @@ impl Ports {
         self.divider_busy_until
     }
 
-    /// Whether the divider is occupied at cycle `now`.
-    pub fn divider_busy(&self, now: u64) -> bool {
-        self.divider_busy_until > now
-    }
-
     /// (division issues, cycles some division waited on a busy divider).
     pub fn div_stats(&self) -> (u64, u64) {
         (self.div_issues, self.div_stall_cycles)
@@ -192,7 +187,6 @@ mod tests {
         assert!(p.try_issue(PortKind::Div, 0, 10));
         p.begin_cycle();
         assert!(p.try_issue(PortKind::Fp, 1, 4), "P0 port itself is free");
-        assert!(p.divider_busy(5));
-        assert!(!p.divider_busy(10));
+        assert_eq!(p.divider_busy_until(), 10, "busy through cycle 9");
     }
 }

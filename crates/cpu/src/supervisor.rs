@@ -12,7 +12,7 @@
 use crate::context::ContextId;
 use crate::predictor::BranchPredictor;
 use microscope_cache::MemoryHierarchy;
-use microscope_mem::{PageFault, PageWalker, PhysMem, TlbHierarchy};
+use microscope_mem::{AddressSpace, PageFault, PageWalker, PhysMem, PteFlags, TlbHierarchy, VAddr};
 
 /// All hardware state a supervisor may touch while handling an event.
 ///
@@ -34,6 +34,19 @@ pub struct HwParts {
     pub walker: PageWalker,
     /// The (shared) branch predictor, exposing prime/flush.
     pub predictor: BranchPredictor,
+}
+
+impl HwParts {
+    /// Honest demand paging: sets the Present bit of `vaddr`'s page,
+    /// mapping a fresh frame first if the page was never mapped, and drops
+    /// its stale TLB entry.
+    pub fn page_in(&mut self, aspace: AddressSpace, vaddr: VAddr) {
+        if aspace.set_present(&mut self.phys, vaddr, true).is_none() {
+            let frame = self.phys.alloc_frame();
+            aspace.map(&mut self.phys, vaddr, frame, PteFlags::user_data());
+        }
+        self.tlb.invlpg(vaddr, aspace.pcid());
+    }
 }
 
 /// A page fault delivered to the supervisor.
@@ -139,7 +152,7 @@ impl Supervisor for NullSupervisor {
 /// tests. It needs the address space to repair, so it stores the handle.
 #[derive(Clone, Copy, Debug)]
 pub struct HonestSupervisor {
-    aspace: microscope_mem::AddressSpace,
+    aspace: AddressSpace,
     /// Cycles charged per fault handled.
     pub handler_cycles: u64,
     /// Faults serviced.
@@ -148,7 +161,7 @@ pub struct HonestSupervisor {
 
 impl HonestSupervisor {
     /// Creates an honest pager for `aspace`.
-    pub fn new(aspace: microscope_mem::AddressSpace) -> Self {
+    pub fn new(aspace: AddressSpace) -> Self {
         HonestSupervisor {
             aspace,
             handler_cycles: 600,
@@ -160,22 +173,7 @@ impl HonestSupervisor {
 impl Supervisor for HonestSupervisor {
     fn on_page_fault(&mut self, hw: &mut HwParts, ev: &FaultEvent) -> SupervisorAction {
         self.faults_serviced += 1;
-        // Repair: allocate a frame if the page was never mapped, else just
-        // set Present.
-        if self
-            .aspace
-            .set_present(&mut hw.phys, ev.fault.vaddr, true)
-            .is_none()
-        {
-            let frame = hw.phys.alloc_frame();
-            self.aspace.map(
-                &mut hw.phys,
-                ev.fault.vaddr,
-                frame,
-                microscope_mem::PteFlags::user_data(),
-            );
-        }
-        hw.tlb.invlpg(ev.fault.vaddr, self.aspace.pcid());
+        hw.page_in(self.aspace, ev.fault.vaddr);
         SupervisorAction::cycles(self.handler_cycles)
     }
 

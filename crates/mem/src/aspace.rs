@@ -144,15 +144,6 @@ impl AddressSpace {
         last - first + 1
     }
 
-    /// Removes the mapping for the page containing `vaddr` (zeroes the leaf
-    /// PTE). Upper levels are left in place. Returns the old entry.
-    pub fn unmap(&self, phys: &mut PhysMem, vaddr: VAddr) -> Option<Pte> {
-        let pa = self.entry_paddr(phys, vaddr, PtLevel::Pte)?;
-        let old = Pte(phys.read_u64(pa));
-        phys.write_u64(pa, 0);
-        Some(old)
-    }
-
     /// Sets or clears the leaf Present bit — the attack's core primitive.
     ///
     /// Returns the previous entry. Returns `None` (and does nothing) when
@@ -337,16 +328,5 @@ mod tests {
         assert!(asp
             .translate(&phys, va.offset(4 * PAGE_BYTES), false)
             .is_err());
-    }
-
-    #[test]
-    fn unmap_removes_translation() {
-        let (mut phys, asp) = setup();
-        let frame = phys.alloc_frame();
-        let va = VAddr(0x6000_0000);
-        asp.map(&mut phys, va, frame, PteFlags::user_data());
-        let old = asp.unmap(&mut phys, va).unwrap();
-        assert_eq!(old.ppn(), frame);
-        assert!(asp.translate(&phys, va, false).is_err());
     }
 }

@@ -169,11 +169,6 @@ impl PhysMem {
         first
     }
 
-    /// Number of frames handed out so far.
-    pub fn frames_allocated(&self) -> u64 {
-        self.next_frame - 1
-    }
-
     /// Number of pages that have actually been materialized by writes.
     pub fn resident_pages(&self) -> usize {
         self.pages.len()
@@ -202,16 +197,6 @@ impl PhysMem {
     /// path, which only has `&self`, can mark it too.
     pub fn begin_epoch(&self) {
         self.epoch_dirty.set(0);
-    }
-
-    /// Whether the given page is currently shared with a snapshot (its next
-    /// write will CoW-copy it).
-    pub fn page_is_shared(&self, ppn: u64) -> bool {
-        Rc::strong_count(&self.pages) > 1
-            || self
-                .pages
-                .get(&ppn)
-                .is_some_and(|p| Rc::strong_count(p) > 1)
     }
 
     fn page(&self, ppn: u64) -> Option<&Page> {
@@ -365,7 +350,6 @@ mod tests {
         let b = m.alloc_frame();
         assert_ne!(a, 0);
         assert_ne!(a, b);
-        assert_eq!(m.frames_allocated(), 2);
     }
 
     #[test]
@@ -402,10 +386,12 @@ mod tests {
             m.write_u64(PAddr(0x1000 * (i + 1)), i);
         }
         let snap = m.clone();
-        assert!(m.page_is_shared(1));
-        // Mutate a handful of pages in the live store.
+        // Mutate a handful of pages in the live store: each first write
+        // copies a page the snapshot shares.
+        let copied = m.cow_copied_pages();
         m.write_u64(PAddr(0x1000), 999);
         m.write_u64(PAddr(0x2000), 998);
+        assert_eq!(m.cow_copied_pages() - copied, 2);
         // Snapshot still sees the captured bytes.
         assert_eq!(snap.read_u64(PAddr(0x1000)), 0);
         assert_eq!(snap.read_u64(PAddr(0x2000)), 1);

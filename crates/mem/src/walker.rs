@@ -220,17 +220,6 @@ impl PageWalker {
         }
         unreachable!("walk returns at the leaf");
     }
-
-    /// Physical line addresses of the page-table entries a walk for `vaddr`
-    /// would touch — the lines the Replayer flushes. (Delegates to the
-    /// software walk; exposed here for symmetry with hardware behaviour.)
-    pub fn entry_lines(&self, phys: &PhysMem, aspace: &AddressSpace, vaddr: VAddr) -> Vec<PAddr> {
-        aspace
-            .entry_paddrs(phys, vaddr)
-            .into_iter()
-            .flatten()
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -364,12 +353,5 @@ mod tests {
         // Still fast because the lines are in L1, but slower than PWC hits.
         let l1 = hier.config().l1.hit_latency;
         assert_eq!(warm.latency, 4 * l1);
-    }
-
-    #[test]
-    fn entry_lines_reports_four_distinct_lines() {
-        let (phys, _, walker, asp, va) = setup();
-        let lines = walker.entry_lines(&phys, &asp, va);
-        assert_eq!(lines.len(), 4);
     }
 }

@@ -5,7 +5,7 @@ use microscope_cpu::{
     ContextId, FaultEvent, HwParts, InterruptEvent, Supervisor, SupervisorAction,
 };
 use microscope_enclave::Enclave;
-use microscope_mem::{AddressSpace, PteFlags};
+use microscope_mem::AddressSpace;
 
 /// Kernel-side view of one simulated process (one hardware context).
 #[derive(Clone, Debug)]
@@ -64,11 +64,6 @@ impl Kernel {
     /// A kernel with no attack module installed (a completely honest OS).
     pub fn honest(procs: Vec<Process>) -> Self {
         Kernel::new(procs, MicroScopeModule::new())
-    }
-
-    /// The attack module (for arming before a run).
-    pub fn module_mut(&mut self) -> &mut MicroScopeModule {
-        &mut self.module
     }
 
     /// The attack module.
@@ -137,14 +132,7 @@ impl Supervisor for Kernel {
                 vaddr: fault.vaddr.0,
             },
         );
-        if aspace
-            .set_present(&mut hw.phys, fault.vaddr, true)
-            .is_none()
-        {
-            let frame = hw.phys.alloc_frame();
-            aspace.map(&mut hw.phys, fault.vaddr, frame, PteFlags::user_data());
-        }
-        hw.tlb.invlpg(fault.vaddr, aspace.pcid());
+        hw.page_in(aspace, fault.vaddr);
         SupervisorAction::cycles(self.honest_handler_cycles)
     }
 
@@ -196,8 +184,8 @@ mod tests {
     use microscope_cache::{HierarchyConfig, MemoryHierarchy};
     use microscope_cpu::{BranchPredictor, PredictorConfig};
     use microscope_mem::{
-        PageFault, PageFaultKind, PageWalker, PhysMem, PtLevel, TlbHierarchy, TlbHierarchyConfig,
-        VAddr, WalkerConfig,
+        PageFault, PageFaultKind, PageWalker, PhysMem, PtLevel, PteFlags, TlbHierarchy,
+        TlbHierarchyConfig, VAddr, WalkerConfig,
     };
 
     fn hw() -> (HwParts, AddressSpace) {
@@ -256,6 +244,7 @@ mod tests {
         let id = module.provide_replay_handle(ContextId(0), handle);
         module.recipe_mut(id).replays_per_step = 3;
         let shared = module.shared();
+        module.arm(&mut hw, aspace);
         let mut k = Kernel::new(
             vec![Process {
                 aspace,
@@ -263,7 +252,6 @@ mod tests {
             }],
             module,
         );
-        k.module_mut().arm(&mut hw, aspace);
         assert!(aspace.translate(&hw.phys, handle, false).is_err());
 
         // Two faults: module keeps the page away.

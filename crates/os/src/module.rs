@@ -141,12 +141,7 @@ impl MicroScopeModule {
     /// Table 2: `initiate_page_fault(addr)` — clears the Present bit and
     /// flushes all translation state, guaranteeing the next access faults.
     pub fn initiate_page_fault(&mut self, hw: &mut HwParts, aspace: AddressSpace, addr: VAddr) {
-        aspace.set_present(&mut hw.phys, addr, false);
-        flush_translation(hw, aspace, addr);
-        self.probe
-            .emit(None, EventKind::PresentCleared { vaddr: addr.0 });
-        self.probe
-            .emit(None, EventKind::TlbShootdown { vaddr: addr.0 });
+        fault_page(&self.probe, hw, aspace, addr);
     }
 
     /// Mutable access to an installed recipe (attack-exploration tweaks).
@@ -175,20 +170,7 @@ impl MicroScopeModule {
                     vaddr: recipe.replay_handle.0,
                 },
             );
-            aspace.set_present(&mut hw.phys, recipe.replay_handle, false);
-            flush_translation(hw, aspace, recipe.replay_handle);
-            self.probe.emit(
-                None,
-                EventKind::PresentCleared {
-                    vaddr: recipe.replay_handle.0,
-                },
-            );
-            self.probe.emit(
-                None,
-                EventKind::TlbShootdown {
-                    vaddr: recipe.replay_handle.0,
-                },
-            );
+            fault_page(&self.probe, hw, aspace, recipe.replay_handle);
             apply_tuning(hw, aspace, recipe.replay_handle, recipe.walk);
             // NOTE: no priming here — Figure 11's "Replay 0" is deliberately
             // unprimed ("Before the first replay, the Replayer does not
@@ -291,14 +273,7 @@ impl MicroScopeModule {
         let done_replaying = state.replays_this_step >= recipe.replays_per_step || stable;
         if done_replaying {
             // Release the handle so the victim makes forward progress.
-            aspace.set_present(&mut hw.phys, recipe.replay_handle, true);
-            hw.tlb.invlpg(recipe.replay_handle, aspace.pcid());
-            self.probe.emit(
-                None,
-                EventKind::PresentSet {
-                    vaddr: recipe.replay_handle.0,
-                },
-            );
+            release_page(&self.probe, hw, aspace, recipe.replay_handle);
             state.replays_this_step = 0;
             state.last_hits = None;
             state.stable_streak = 0;
@@ -306,12 +281,7 @@ impl MicroScopeModule {
                 Some(pivot) => {
                     // Arm the pivot to regain control after this iteration;
                     // the pivot step decides whether the attack continues.
-                    aspace.set_present(&mut hw.phys, pivot, false);
-                    flush_translation(hw, aspace, pivot);
-                    self.probe
-                        .emit(None, EventKind::PresentCleared { vaddr: pivot.0 });
-                    self.probe
-                        .emit(None, EventKind::TlbShootdown { vaddr: pivot.0 });
+                    fault_page(&self.probe, hw, aspace, pivot);
                     state.phase = Phase::Pivot;
                 }
                 None => {
@@ -358,10 +328,7 @@ impl MicroScopeModule {
                 vaddr: ev.fault.vaddr.0,
             },
         );
-        aspace.set_present(&mut hw.phys, pivot, true);
-        hw.tlb.invlpg(pivot, aspace.pcid());
-        self.probe
-            .emit(None, EventKind::PresentSet { vaddr: pivot.0 });
+        release_page(&self.probe, hw, aspace, pivot);
         state.steps_done += 1;
         self.shared.borrow_mut().steps[idx] = state.steps_done;
         self.probe.emit(
@@ -386,20 +353,7 @@ impl MicroScopeModule {
             // present bit for the replay handle … when the Victim resumes
             // execution, it retires all the instructions of the current
             // iteration and proceeds to the next").
-            aspace.set_present(&mut hw.phys, recipe.replay_handle, false);
-            flush_translation(hw, aspace, recipe.replay_handle);
-            self.probe.emit(
-                None,
-                EventKind::PresentCleared {
-                    vaddr: recipe.replay_handle.0,
-                },
-            );
-            self.probe.emit(
-                None,
-                EventKind::TlbShootdown {
-                    vaddr: recipe.replay_handle.0,
-                },
-            );
+            fault_page(&self.probe, hw, aspace, recipe.replay_handle);
             apply_tuning(hw, aspace, recipe.replay_handle, recipe.walk);
             if recipe.prime_between_replays {
                 prime_lines(hw, aspace, &recipe.monitor_addrs);
@@ -441,6 +395,23 @@ impl MicroScopeModule {
 pub struct ModuleCheckpoint {
     recipes: Vec<(AttackRecipe, RecipeState)>,
     shared: ModuleShared,
+}
+
+/// Faults `addr`'s page: clears its Present bit and flushes its
+/// translation state, so the next access faults.
+fn fault_page(probe: &Probe, hw: &mut HwParts, aspace: AddressSpace, addr: VAddr) {
+    aspace.set_present(&mut hw.phys, addr, false);
+    flush_translation(hw, aspace, addr);
+    probe.emit(None, EventKind::PresentCleared { vaddr: addr.0 });
+    probe.emit(None, EventKind::TlbShootdown { vaddr: addr.0 });
+}
+
+/// Releases `addr`'s page: sets its Present bit and drops its stale TLB
+/// entry, so the victim makes forward progress.
+fn release_page(probe: &Probe, hw: &mut HwParts, aspace: AddressSpace, addr: VAddr) {
+    aspace.set_present(&mut hw.phys, addr, true);
+    hw.tlb.invlpg(addr, aspace.pcid());
+    probe.emit(None, EventKind::PresentSet { vaddr: addr.0 });
 }
 
 fn apply_tuning(hw: &mut HwParts, aspace: AddressSpace, addr: VAddr, walk: WalkTuning) {

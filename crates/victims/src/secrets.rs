@@ -80,19 +80,9 @@ impl SecretMap {
         self.sticky_regs.iter().map(|(r, _)| *r)
     }
 
-    /// Whether `reg` is declared always-secret.
-    pub fn is_sticky(&self, reg: Reg) -> bool {
-        self.sticky_regs.iter().any(|(r, _)| *r == reg)
-    }
-
     /// Whether hardware random draws are secret.
     pub fn rdrand_is_secret(&self) -> bool {
         self.rdrand_is_secret
-    }
-
-    /// Whether an access of `size` bytes at `addr` reads secret memory.
-    pub fn touches_secret(&self, addr: VAddr, size: u64) -> bool {
-        self.regions.iter().any(|r| r.overlaps(addr, size))
     }
 
     /// Whether anything at all is declared secret.
@@ -130,18 +120,18 @@ mod tests {
     #[test]
     fn region_overlap_is_half_open() {
         let m = SecretMap::new().region(VAddr(0x1000), 16, "t");
-        assert!(m.touches_secret(VAddr(0x1000), 1));
-        assert!(m.touches_secret(VAddr(0x100f), 1));
-        assert!(!m.touches_secret(VAddr(0x1010), 8));
-        assert!(m.touches_secret(VAddr(0xff8), 16), "straddles the start");
-        assert!(!m.touches_secret(VAddr(0xff8), 8));
+        let r = &m.regions()[0];
+        assert!(r.overlaps(VAddr(0x1000), 1));
+        assert!(r.overlaps(VAddr(0x100f), 1));
+        assert!(!r.overlaps(VAddr(0x1010), 8));
+        assert!(r.overlaps(VAddr(0xff8), 16), "straddles the start");
+        assert!(!r.overlaps(VAddr(0xff8), 8));
     }
 
     #[test]
     fn sticky_and_rdrand_flags() {
         let m = SecretMap::new().sticky_reg(Reg(4), "exp").rdrand();
-        assert!(m.is_sticky(Reg(4)));
-        assert!(!m.is_sticky(Reg(5)));
+        assert!(m.sticky_regs().eq([Reg(4)]));
         assert!(m.rdrand_is_secret());
         assert!(!m.is_empty());
         assert!(SecretMap::new().is_empty());

@@ -103,7 +103,28 @@ for pin in fig10:2978870598:1757 fig11:2134810886:1409 \
     fi
     echo "$bin${*:+ $*} stdout cksum $got"
 done
-rm -f "$HARNESS_OUT"
+# The flag forms the harness front end parses: `--samples=N`, and both
+# export flags, whose files are pinned (fig11 prints their paths on
+# stdout, so its stdout is not). Fields: file:cksum:bytes.
+SAMPLES_OUT="${TMPDIR:-/tmp}/fig10.samples500.out"
+cargo run -q --release -p microscope-bench --bin fig10 -- --samples=500 \
+    >"$SAMPLES_OUT" 2>/dev/null
+TRACE_OUT="${TMPDIR:-/tmp}/fig11.trace.json"
+METRICS_OUT="${TMPDIR:-/tmp}/fig11.metrics.jsonl"
+cargo run -q --release -p microscope-bench --bin fig11 -- \
+    --trace-out "$TRACE_OUT" --metrics-out "$METRICS_OUT" >/dev/null 2>&1
+for pin in "$SAMPLES_OUT:2604885249:1243" "$TRACE_OUT:305816785:830150" \
+    "$METRICS_OUT:341563503:3453"; do
+    file=${pin%%:*}
+    want=$(echo "${pin#*:}" | tr : ' ')
+    got=$(cksum <"$file")
+    if [ "$got" != "$want" ]; then
+        echo "error: $file cksum $got, pinned $want" >&2
+        exit 1
+    fi
+    echo "$(basename "$file") cksum $got"
+done
+rm -f "$HARNESS_OUT" "$SAMPLES_OUT" "$TRACE_OUT" "$METRICS_OUT"
 
 echo "== examples: pinned stdout =="
 # Every example at its default arguments, its stdout cksum pinned: the

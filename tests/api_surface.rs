@@ -25,7 +25,6 @@ fn every_error_type_is_send_sync_static() {
     assert_error_type::<RunError>();
     assert_error_type::<SweepError>();
     assert_error_type::<microscope_bench::ArgError>();
-    assert_error_type::<microscope_bench::ExportError>();
     assert_error_type::<microscope::analyze::ValidateError>();
     assert_error_type::<microscope::cpu::ProgramError>();
 }
@@ -115,6 +114,10 @@ fn displays_follow_what_failed_colon_why() {
             value: 3,
         }
         .to_string(),
+        microscope_bench::ArgError::Unknown {
+            arg: "--smaples".into(),
+        }
+        .to_string(),
     ];
     for msg in &cases {
         assert!(
@@ -138,6 +141,10 @@ fn displays_follow_what_failed_colon_why() {
         cases[12].contains("hierarchy.dram.banks = 3"),
         "{}",
         cases[12]
+    );
+    assert_eq!(
+        cases[13],
+        "parsing --smaples failed: not an accepted argument"
     );
 }
 
@@ -176,20 +183,4 @@ fn error_sources_chain_to_the_cause() {
         validate.source().unwrap().downcast_ref::<RunError>(),
         Some(&diverged())
     );
-
-    let io = std::io::Error::new(std::io::ErrorKind::PermissionDenied, "denied");
-    let export = microscope_bench::ExportError {
-        path: "/tmp/out.json".into(),
-        source: io,
-    };
-    let msg = export.to_string();
-    assert!(
-        msg.contains("export to") && msg.contains("failed:"),
-        "{msg}"
-    );
-    assert!(export
-        .source()
-        .unwrap()
-        .downcast_ref::<std::io::Error>()
-        .is_some());
 }
