@@ -12,6 +12,7 @@
 
 use crate::report::AttackReport;
 use microscope_mem::VAddr;
+use microscope_os::RecipeId;
 use std::error::Error;
 use std::fmt;
 
@@ -45,6 +46,18 @@ pub enum BuildError {
         /// Its value.
         value: u64,
     },
+    /// An installed attack recipe breaks a rule of
+    /// [`AttackRecipe::check`](microscope_os::AttackRecipe::check): a
+    /// tuned walk fetches 1..=4 levels, and the pivot lives on a different
+    /// page than the replay handle.
+    InvalidRecipe {
+        /// The recipe, as its module returned it.
+        recipe: RecipeId,
+        /// The field (`"walk.levels"` or `"pivot"`).
+        field: &'static str,
+        /// Its value (the level count, or the pivot address).
+        value: u64,
+    },
 }
 
 impl fmt::Display for BuildError {
@@ -65,6 +78,17 @@ impl fmt::Display for BuildError {
             }
             BuildError::InvalidConfig { field, value } => {
                 write!(f, "session build failed: {field} = {value} breaks its rule")
+            }
+            BuildError::InvalidRecipe {
+                recipe,
+                field,
+                value,
+            } => {
+                let id = recipe.0;
+                write!(
+                    f,
+                    "session build failed: recipe {id} {field} = {value} breaks its rule"
+                )
             }
         }
     }

@@ -28,5 +28,5 @@ pub mod sweep;
 
 pub use config::SimConfig;
 pub use error::{BuildError, RunError};
-pub use report::{AttackReport, ReplayAnalytics, ReportSnapshot};
+pub use report::{AttackReport, ReplayAnalytics};
 pub use session::{AttackSession, MonitorBuffer, RunRequest, SessionBuilder};

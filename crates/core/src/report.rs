@@ -86,21 +86,6 @@ impl ReplayAnalytics {
     }
 }
 
-/// A compact, exportable summary of one attack run.
-#[derive(Clone, Debug)]
-pub struct ReportSnapshot {
-    /// Replays performed for recipe 0.
-    pub replays: u64,
-    /// Monitor-probe samples captured per replay.
-    pub samples_per_replay: Vec<u64>,
-    /// Speculation-window-length histogram, `(length, count)` sorted.
-    pub window_histogram: Vec<(u64, u64)>,
-    /// Mean speculation-window length.
-    pub mean_window: f64,
-    /// The full uniform metric registry.
-    pub metrics: MetricSet,
-}
-
 impl AttackReport {
     /// Replays performed for recipe 0 (the common single-recipe case).
     pub fn replays(&self) -> u64 {
@@ -129,19 +114,6 @@ impl AttackReport {
                     && matches!(e.kind, EventKind::Issue { pc: p, .. } if p == pc as u64)
             })
             .count() as u64
-    }
-
-    /// A compact summary: replay counts, samples per replay, the
-    /// speculation-window histogram, and the metric registry.
-    pub fn snapshot(&self) -> ReportSnapshot {
-        let analytics = self.analytics();
-        ReportSnapshot {
-            replays: self.replays(),
-            samples_per_replay: analytics.samples_per_replay.clone(),
-            window_histogram: analytics.window_histogram(),
-            mean_window: analytics.mean_window(),
-            metrics: self.metrics.clone(),
-        }
     }
 }
 

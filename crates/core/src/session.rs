@@ -126,13 +126,21 @@ impl SessionBuilder {
     ///
     /// Fails with [`BuildError::NoVictim`] when no victim was installed,
     /// [`BuildError::InvalidConfig`] when a hierarchy or TLB field breaks
-    /// its rule, and [`BuildError::MonitorBufferUnmapped`] when a monitor
-    /// buffer slot does not translate.
+    /// its rule, [`BuildError::InvalidRecipe`] when an attack recipe does,
+    /// and [`BuildError::MonitorBufferUnmapped`] when a monitor buffer slot
+    /// does not translate.
     pub fn build(self) -> Result<AttackSession, BuildError> {
         let (victim_prog, victim_asp) = self.victim.ok_or(BuildError::NoVictim)?;
         let invalid = |(field, value)| BuildError::InvalidConfig { field, value };
         self.sim.hierarchy.check().map_err(invalid)?;
         self.sim.tlb.check().map_err(invalid)?;
+        self.module
+            .check()
+            .map_err(|(recipe, field, value)| BuildError::InvalidRecipe {
+                recipe,
+                field,
+                value,
+            })?;
         if let Some((_, asp, Some(buf))) = &self.monitor {
             if let Some(vaddr) = first_unmapped_slot(&self.phys, asp, *buf) {
                 return Err(BuildError::MonitorBufferUnmapped { vaddr });
@@ -579,7 +587,7 @@ fn compare_reports(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use microscope_cpu::Assembler;
+    use microscope_cpu::{Assembler, Reg};
     use microscope_mem::PteFlags;
 
     fn halt() -> Program {
@@ -652,6 +660,60 @@ mod tests {
     #[test]
     fn tlb_l2_ways_must_be_non_zero() {
         assert_eq!(build_on(|c| c.tlb.l2.ways = 0), invalid("tlb.l2.ways", 0));
+    }
+
+    /// Builds a session whose victim loads its handle page, with two
+    /// recipes on that page that `edit` leaves the second of as it likes,
+    /// armed at build or, with `defer`, after that many retires; a valid
+    /// session is run to the end.
+    fn build_recipe(
+        defer: Option<u64>,
+        edit: impl FnOnce(&mut microscope_os::AttackRecipe),
+    ) -> Result<Result<RunExit, RunError>, BuildError> {
+        let mut b = SessionBuilder::new();
+        let aspace = b.new_aspace(1);
+        let handle = VAddr(0x1000_0000);
+        aspace.alloc_map(b.phys(), handle, PAGE_BYTES, PteFlags::user_data());
+        let mut asm = Assembler::new();
+        asm.imm(Reg(1), handle.0).load(Reg(2), Reg(1), 0).halt();
+        b.victim(asm.finish(), aspace);
+        if let Some(retires) = defer {
+            b.defer_arm(retires);
+        }
+        for _ in 0..2 {
+            let id = b.module().provide_replay_handle(ContextId(0), handle);
+            b.module().recipe_mut(id).replays_per_step = 2;
+        }
+        let id = microscope_os::RecipeId(1);
+        edit(b.module().recipe_mut(id));
+        let mut session = b.build()?;
+        Ok(session.execute(RunRequest::cold(1_000_000)).map(|r| r.exit))
+    }
+
+    #[test]
+    fn invalid_recipes_are_build_errors_armed_now_or_deferred() {
+        let invalid = |field, value| {
+            Err(BuildError::InvalidRecipe {
+                recipe: microscope_os::RecipeId(1),
+                field,
+                value,
+            })
+        };
+        for defer in [None, Some(1)] {
+            let walk = |levels| {
+                build_recipe(defer, |r| {
+                    r.walk = microscope_os::WalkTuning::Length { levels }
+                })
+            };
+            assert_eq!(walk(0), invalid("walk.levels", 0), "defer {defer:?}");
+            assert_eq!(walk(5), invalid("walk.levels", 5), "defer {defer:?}");
+            assert_eq!(walk(4), Ok(Ok(RunExit::AllHalted)), "defer {defer:?}");
+            let pivot = |addr| build_recipe(defer, |r| r.pivot = Some(VAddr(addr)));
+            let same_page = pivot(0x1000_0808);
+            assert_eq!(same_page, invalid("pivot", 0x1000_0808), "defer {defer:?}");
+            let other_page = pivot(0x1000_1000);
+            assert_eq!(other_page, Ok(Ok(RunExit::AllHalted)), "defer {defer:?}");
+        }
     }
 
     /// Builds a session whose monitor maps one page at `0x7000_0000` and

@@ -67,5 +67,5 @@ pub use rob::{RobEntry, RobState, SquashCause};
 pub use stats::{ContextStats, MachineStats};
 pub use supervisor::{
     FaultEvent, HonestSupervisor, HwParts, InterruptEvent, NullSupervisor, Supervisor,
-    SupervisorAction,
+    SupervisorAction, HONEST_PAGER_CYCLES,
 };

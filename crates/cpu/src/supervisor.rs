@@ -147,47 +147,28 @@ impl Supervisor for NullSupervisor {
     }
 }
 
+/// Handler cost charged by an honest demand pager for one fault.
+pub const HONEST_PAGER_CYCLES: u64 = 600;
+
 /// A supervisor that services every minor fault by setting the Present bit —
 /// the behaviour of an honest demand-paging OS. Useful as a baseline and in
-/// tests. It needs the address space to repair, so it stores the handle.
+/// tests. It needs the address space to repair, so it stores the handle;
+/// having no mutable state, it keeps the default (empty) checkpoint.
 #[derive(Clone, Copy, Debug)]
 pub struct HonestSupervisor {
     aspace: AddressSpace,
-    /// Cycles charged per fault handled.
-    pub handler_cycles: u64,
-    /// Faults serviced.
-    pub faults_serviced: u64,
 }
 
 impl HonestSupervisor {
     /// Creates an honest pager for `aspace`.
     pub fn new(aspace: AddressSpace) -> Self {
-        HonestSupervisor {
-            aspace,
-            handler_cycles: 600,
-            faults_serviced: 0,
-        }
+        HonestSupervisor { aspace }
     }
 }
 
 impl Supervisor for HonestSupervisor {
     fn on_page_fault(&mut self, hw: &mut HwParts, ev: &FaultEvent) -> SupervisorAction {
-        self.faults_serviced += 1;
         hw.page_in(self.aspace, ev.fault.vaddr);
-        SupervisorAction::cycles(self.handler_cycles)
-    }
-
-    fn checkpoint(&self) -> Option<Box<dyn std::any::Any>> {
-        Some(Box::new(*self))
-    }
-
-    fn restore_checkpoint(&mut self, state: &dyn std::any::Any) -> bool {
-        match state.downcast_ref::<HonestSupervisor>() {
-            Some(saved) => {
-                *self = *saved;
-                true
-            }
-            None => false,
-        }
+        SupervisorAction::cycles(HONEST_PAGER_CYCLES)
     }
 }

@@ -1,11 +1,16 @@
 //! The kernel: process table, fault routing and the honest demand pager.
 
-use crate::module::{MicroScopeModule, ModuleCheckpoint};
+use crate::module::MicroScopeModule;
+use crate::shared::ModuleShared;
 use microscope_cpu::{
     ContextId, FaultEvent, HwParts, InterruptEvent, Supervisor, SupervisorAction,
+    HONEST_PAGER_CYCLES,
 };
 use microscope_enclave::Enclave;
 use microscope_mem::AddressSpace;
+
+/// Handler cost charged for a stepping interrupt.
+const STEP_INTERRUPT_CYCLES: u64 = 400;
 
 /// Kernel-side view of one simulated process (one hardware context).
 #[derive(Clone, Debug)]
@@ -22,16 +27,15 @@ pub struct Process {
 /// handler identifies the fault → the trampoline offers it to the
 /// MicroScope module → unclaimed faults fall through to ordinary demand
 /// paging.
-#[derive(Debug)]
+///
+/// A checkpoint of the kernel is a clone of it plus the module's
+/// [`ModuleShared`] value; restoring clones the kernel back and writes that
+/// value through the [`crate::SharedHandle`] the clone still shares, so the
+/// attacker's handle observes the rewind.
+#[derive(Clone, Debug)]
 pub struct Kernel {
     procs: Vec<Process>,
     module: MicroScopeModule,
-    /// Handler cost charged for honestly serviced faults.
-    pub honest_handler_cycles: u64,
-    /// Handler cost charged for stepping interrupts.
-    pub interrupt_handler_cycles: u64,
-    honest_faults: u64,
-    interrupts: u64,
     /// When set, the module is armed lazily, on the first stepping
     /// interrupt of this context — the paper's §4.1 setup flow: the
     /// Replayer single-steps the victim to the neighbourhood of the replay
@@ -46,10 +50,6 @@ impl Kernel {
         Kernel {
             procs,
             module,
-            honest_handler_cycles: 600,
-            interrupt_handler_cycles: 400,
-            honest_faults: 0,
-            interrupts: 0,
             arm_on_interrupt: None,
             probe: microscope_probe::Probe::disabled(),
         }
@@ -61,53 +61,12 @@ impl Kernel {
         self.probe = probe;
     }
 
-    /// A kernel with no attack module installed (a completely honest OS).
-    pub fn honest(procs: Vec<Process>) -> Self {
-        Kernel::new(procs, MicroScopeModule::new())
-    }
-
-    /// The attack module.
-    pub fn module(&self) -> &MicroScopeModule {
-        &self.module
-    }
-
-    /// The process backing a context.
-    pub fn process(&self, ctx: ContextId) -> &Process {
-        &self.procs[ctx.0]
-    }
-
-    /// Faults serviced by the honest pager (not claimed by the module).
-    pub fn honest_faults(&self) -> u64 {
-        self.honest_faults
-    }
-
-    /// Stepping interrupts delivered.
-    pub fn interrupts(&self) -> u64 {
-        self.interrupts
-    }
-
     /// Defers module arming to the first stepping interrupt on `ctx`. Pair
     /// with [`microscope_cpu::Machine::set_step_interrupt`] so the attack
     /// begins mid-run, after the victim has warmed the caches naturally.
     pub fn arm_on_interrupt(&mut self, ctx: ContextId) {
         self.arm_on_interrupt = Some(ctx);
     }
-}
-
-/// Snapshot of the kernel's mutable state, produced by the kernel's
-/// [`Supervisor::checkpoint`] implementation and carried inside a
-/// [`microscope_cpu::MachineCheckpoint`]: the process table (address-space
-/// roots and enclave AEX accounting), the module's full state, fault and
-/// interrupt counters, and any pending deferred-arm trigger.
-#[derive(Clone, Debug)]
-pub struct KernelCheckpoint {
-    procs: Vec<Process>,
-    module: ModuleCheckpoint,
-    honest_handler_cycles: u64,
-    interrupt_handler_cycles: u64,
-    honest_faults: u64,
-    interrupts: u64,
-    arm_on_interrupt: Option<ContextId>,
 }
 
 impl Supervisor for Kernel {
@@ -125,7 +84,6 @@ impl Supervisor for Kernel {
             return action;
         }
         // Honest demand paging: map or re-present the page.
-        self.honest_faults += 1;
         self.probe.emit(
             Some(ev.ctx.0 as u32),
             microscope_probe::EventKind::HonestFault {
@@ -133,11 +91,10 @@ impl Supervisor for Kernel {
             },
         );
         hw.page_in(aspace, fault.vaddr);
-        SupervisorAction::cycles(self.honest_handler_cycles)
+        SupervisorAction::cycles(HONEST_PAGER_CYCLES)
     }
 
     fn on_interrupt(&mut self, hw: &mut HwParts, ev: &InterruptEvent) -> SupervisorAction {
-        self.interrupts += 1;
         if self.arm_on_interrupt == Some(ev.ctx) {
             self.arm_on_interrupt = None;
             let aspace = self.procs[ev.ctx.0].aspace;
@@ -145,35 +102,22 @@ impl Supervisor for Kernel {
             // The attack is set up; stop stepping the victim.
             return SupervisorAction {
                 disarm_step_interrupt: true,
-                ..SupervisorAction::cycles(self.interrupt_handler_cycles)
+                ..SupervisorAction::cycles(STEP_INTERRUPT_CYCLES)
             };
         }
-        SupervisorAction::cycles(self.interrupt_handler_cycles)
+        SupervisorAction::cycles(STEP_INTERRUPT_CYCLES)
     }
 
     fn checkpoint(&self) -> Option<Box<dyn std::any::Any>> {
-        Some(Box::new(KernelCheckpoint {
-            procs: self.procs.clone(),
-            module: self.module.checkpoint(),
-            honest_handler_cycles: self.honest_handler_cycles,
-            interrupt_handler_cycles: self.interrupt_handler_cycles,
-            honest_faults: self.honest_faults,
-            interrupts: self.interrupts,
-            arm_on_interrupt: self.arm_on_interrupt,
-        }))
+        Some(Box::new((self.clone(), self.module.snapshot())))
     }
 
     fn restore_checkpoint(&mut self, state: &dyn std::any::Any) -> bool {
-        let Some(cp) = state.downcast_ref::<KernelCheckpoint>() else {
+        let Some((kernel, shared)) = state.downcast_ref::<(Kernel, ModuleShared)>() else {
             return false;
         };
-        self.procs = cp.procs.clone();
-        self.module.restore(&cp.module);
-        self.honest_handler_cycles = cp.honest_handler_cycles;
-        self.interrupt_handler_cycles = cp.interrupt_handler_cycles;
-        self.honest_faults = cp.honest_faults;
-        self.interrupts = cp.interrupts;
-        self.arm_on_interrupt = cp.arm_on_interrupt;
+        *self = kernel.clone();
+        *self.module.shared().borrow_mut() = shared.clone();
         true
     }
 }
@@ -221,16 +165,18 @@ mod tests {
     #[test]
     fn honest_pager_maps_unmapped_pages() {
         let (mut hw, aspace) = hw();
-        let mut k = Kernel::honest(vec![Process {
-            aspace,
-            enclave: None,
-        }]);
+        let mut k = Kernel::new(
+            vec![Process {
+                aspace,
+                enclave: None,
+            }],
+            MicroScopeModule::new(),
+        );
         let va = VAddr(0x77_0000);
         assert!(aspace.translate(&hw.phys, va, false).is_err());
         let action = k.on_page_fault(&mut hw, &fault_at(va));
-        assert_eq!(action.handler_cycles, k.honest_handler_cycles);
+        assert_eq!(action.handler_cycles, HONEST_PAGER_CYCLES);
         assert!(aspace.translate(&hw.phys, va, false).is_ok());
-        assert_eq!(k.honest_faults(), 1);
     }
 
     #[test]
@@ -254,17 +200,36 @@ mod tests {
         );
         assert!(aspace.translate(&hw.phys, handle, false).is_err());
 
-        // Two faults: module keeps the page away.
-        k.on_page_fault(&mut hw, &fault_at(handle));
-        k.on_page_fault(&mut hw, &fault_at(handle));
-        assert!(aspace.translate(&hw.phys, handle, false).is_err());
-        // Third fault: recipe completes and releases the page.
-        k.on_page_fault(&mut hw, &fault_at(handle));
-        assert!(aspace.translate(&hw.phys, handle, false).is_ok());
-        assert_eq!(k.honest_faults(), 0, "the pager never saw these faults");
-        let sh = shared.borrow();
-        assert_eq!(sh.replays[0], 3);
-        assert!(sh.finished[0]);
+        let replay = |k: &mut Kernel, hw: &mut HwParts| {
+            let action = k.on_page_fault(hw, &fault_at(handle));
+            assert_eq!(action.handler_cycles, 800, "the recipe's handler ran");
+        };
+        let cp = k.checkpoint().expect("the kernel has state");
+        for _ in 0..2 {
+            // Two faults: module keeps the page away.
+            replay(&mut k, &mut hw);
+            replay(&mut k, &mut hw);
+            assert!(aspace.translate(&hw.phys, handle, false).is_err());
+            // Third fault: recipe completes and releases the page.
+            replay(&mut k, &mut hw);
+            assert!(aspace.translate(&hw.phys, handle, false).is_ok());
+            assert_eq!(shared.borrow().replays[0], 3);
+            assert!(shared.borrow().finished[0]);
+            // A restore rewinds the recipe and, through the attacker's
+            // handle, the shared state; re-fault the page to replay again.
+            assert!(k.restore_checkpoint(cp.as_ref()));
+            assert_eq!(
+                *shared.borrow(),
+                ModuleShared {
+                    replays: vec![0],
+                    steps: vec![0],
+                    finished: vec![false],
+                    armed: true,
+                    ..ModuleShared::default()
+                }
+            );
+            aspace.set_present(&mut hw.phys, handle, false);
+        }
     }
 
     #[test]
@@ -279,7 +244,9 @@ mod tests {
             }],
             module,
         );
-        k.on_page_fault(&mut hw, &fault_at(VAddr(0x99_0000)));
-        assert_eq!(k.honest_faults(), 1);
+        let va = VAddr(0x99_0000);
+        let action = k.on_page_fault(&mut hw, &fault_at(va));
+        assert_eq!(action.handler_cycles, HONEST_PAGER_CYCLES);
+        assert!(aspace.translate(&hw.phys, va, false).is_ok());
     }
 }

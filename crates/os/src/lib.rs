@@ -3,8 +3,8 @@
 //! This crate is the reproduction of the paper's Section 5 ("MicroScope
 //! Implementation"): a kernel whose page-fault handler contains a trampoline
 //! into an attack module. The module holds *attack recipes* (§5.2.1) — the
-//! replay handle, optional pivot, addresses to monitor, and a confidence
-//! threshold — and performs the attack operations of §5.2.2:
+//! replay handle, optional pivot and addresses to monitor — and performs
+//! the attack operations of §5.2.2:
 //!
 //! 1. software page walks to locate the PGD/PUD/PMD/PTE entries of a
 //!    virtual address,
@@ -21,6 +21,10 @@
 //! from the simulated core are first sanitized by the faulting process's
 //! enclave (AEX — the OS sees only the VPN), then offered to the module's
 //! trampoline; unclaimed faults fall through to an honest demand pager.
+//!
+//! The paper's confidence threshold (stop replaying a step once the
+//! measurements agree) is not modelled: no harness used it, so every step
+//! runs its recipe's `replays_per_step` replays.
 
 mod kernel;
 mod module;
@@ -28,10 +32,8 @@ mod ops;
 mod recipe;
 mod shared;
 
-pub use kernel::{Kernel, KernelCheckpoint, Process};
-pub use module::{MicroScopeModule, ModuleCheckpoint};
-pub use ops::{
-    flush_translation, prime_lines, probe_latencies, set_walk_length, translate_ignoring_present,
-};
+pub use kernel::{Kernel, Process};
+pub use module::MicroScopeModule;
+pub use ops::{flush_translation, translate_ignoring_present};
 pub use recipe::{AttackRecipe, RecipeId, WalkTuning};
 pub use shared::{ModuleShared, Observation, SharedHandle};

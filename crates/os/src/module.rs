@@ -11,39 +11,23 @@ use microscope_probe::{EventKind, Probe};
 /// Which address a recipe is currently replaying on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Phase {
+    /// Installed, not yet armed: the module claims none of its faults.
+    Unarmed,
     Handle,
     Pivot,
 }
 
+/// A recipe's progress that [`ModuleShared`] does not hold; its step count
+/// and finished flag live there.
 #[derive(Clone, Debug)]
 struct RecipeState {
     phase: Phase,
     replays_this_step: u64,
-    steps_done: u64,
-    finished: bool,
-    armed: bool,
-    /// Classification history for the confidence threshold.
-    last_hits: Option<Vec<VAddr>>,
-    stable_streak: u64,
-}
-
-impl RecipeState {
-    fn new() -> Self {
-        RecipeState {
-            phase: Phase::Handle,
-            replays_this_step: 0,
-            steps_done: 0,
-            finished: false,
-            armed: false,
-            last_hits: None,
-            stable_streak: 0,
-        }
-    }
 }
 
 /// The in-kernel attack module (paper §5, Figure 9 item "MicroScope
 /// module").
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct MicroScopeModule {
     recipes: Vec<(AttackRecipe, RecipeState)>,
     shared: SharedHandle,
@@ -79,21 +63,31 @@ impl MicroScopeModule {
     }
 
     /// Registers a full recipe. Prefer this over the piecewise Table-2 API
-    /// when constructing attacks programmatically.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the recipe is internally inconsistent (see
-    /// [`AttackRecipe::validate`]).
+    /// when constructing attacks programmatically. The session build
+    /// refuses a recipe that breaks a rule of [`AttackRecipe::check`].
     pub fn install(&mut self, recipe: AttackRecipe) -> RecipeId {
-        recipe.validate();
         let id = RecipeId(self.recipes.len());
-        self.recipes.push((recipe, RecipeState::new()));
+        let state = RecipeState {
+            phase: Phase::Unarmed,
+            replays_this_step: 0,
+        };
+        self.recipes.push((recipe, state));
         let mut sh = self.shared.borrow_mut();
         sh.replays.push(0);
         sh.steps.push(0);
         sh.finished.push(false);
         id
+    }
+
+    /// Checks every installed recipe against [`AttackRecipe::check`],
+    /// naming the first one that breaks a rule with its field and value.
+    pub fn check(&self) -> Result<(), (RecipeId, &'static str, u64)> {
+        for (idx, (recipe, _)) in self.recipes.iter().enumerate() {
+            recipe
+                .check()
+                .map_err(|(field, value)| (RecipeId(idx), field, value))?;
+        }
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -110,15 +104,10 @@ impl MicroScopeModule {
         self.install(AttackRecipe::new(victim, addr))
     }
 
-    /// Table 2: `provide_pivot(addr)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pivot shares a page with the recipe's replay handle.
+    /// Table 2: `provide_pivot(addr)`. The pivot must live on a different
+    /// page than the handle, or the session build refuses the recipe.
     pub fn provide_pivot(&mut self, id: RecipeId, addr: VAddr) {
-        let (recipe, _) = &mut self.recipes[id.0];
-        recipe.pivot = Some(addr);
-        recipe.validate();
+        self.recipes[id.0].0.pivot = Some(addr);
     }
 
     /// Table 2: `provide_monitor_addr(addr)`.
@@ -149,20 +138,15 @@ impl MicroScopeModule {
         &mut self.recipes[id.0].0
     }
 
-    /// Read access to an installed recipe.
-    pub fn recipe(&self, id: RecipeId) -> &AttackRecipe {
-        &self.recipes[id.0].0
-    }
-
     /// Arms every installed recipe: faults its replay handle and applies
     /// walk tuning and priming. Call once before the victim resumes.
     pub fn arm(&mut self, hw: &mut HwParts, aspace: AddressSpace) {
         self.shared.borrow_mut().armed = true;
         for (idx, (recipe, state)) in self.recipes.iter_mut().enumerate() {
-            if state.finished || state.armed {
+            if state.phase != Phase::Unarmed {
                 continue;
             }
-            state.armed = true;
+            state.phase = Phase::Handle;
             self.probe.emit(
                 None,
                 EventKind::RecipeArmed {
@@ -189,7 +173,7 @@ impl MicroScopeModule {
         let vpn = ev.fault.vaddr.vpn();
         for idx in 0..self.recipes.len() {
             let (recipe, state) = &self.recipes[idx];
-            if state.finished || !state.armed || recipe.victim != ev.ctx {
+            if self.shared.borrow().finished[idx] || recipe.victim != ev.ctx {
                 continue;
             }
             let on_handle = state.phase == Phase::Handle && vpn == recipe.replay_handle.vpn();
@@ -205,7 +189,8 @@ impl MicroScopeModule {
         None
     }
 
-    /// One replay of the handle: measure, decide, re-arm or release.
+    /// One replay of the handle: measure, then re-arm the handle or
+    /// release it.
     fn replay_step(
         &mut self,
         idx: usize,
@@ -215,19 +200,12 @@ impl MicroScopeModule {
     ) -> SupervisorAction {
         let (recipe, state) = &mut self.recipes[idx];
         state.replays_this_step += 1;
-        let total_replays;
-        {
+        let (total_replays, step) = {
             let mut sh = self.shared.borrow_mut();
             sh.replays[idx] += 1;
-            total_replays = sh.replays[idx];
-            sh.fault_log.push((ev.cycle, ev.fault.vaddr));
-        }
-        self.probe.emit(
-            Some(ev.ctx.0 as u32),
-            EventKind::HandlerEnter {
-                vaddr: ev.fault.vaddr.0,
-            },
-        );
+            enter_handler(&mut sh, &self.probe, ev);
+            (sh.replays[idx], sh.steps[idx])
+        };
         // Advance the ambient replay index: everything any layer emits from
         // here on belongs to this replay cycle.
         self.probe.set_replay(total_replays);
@@ -239,7 +217,6 @@ impl MicroScopeModule {
             },
         );
         // Measure: probe the monitored lines (cache-attack configuration).
-        let mut stable = false;
         if !recipe.monitor_addrs.is_empty() {
             let probes = probe_latencies(hw, aspace, &recipe.monitor_addrs);
             for &(addr, latency) in &probes {
@@ -251,32 +228,21 @@ impl MicroScopeModule {
                     },
                 );
             }
-            let obs = Observation {
+            self.shared.borrow_mut().observations.push(Observation {
                 recipe: RecipeId(idx),
-                step: state.steps_done,
+                step,
                 replay: state.replays_this_step,
                 cycle: ev.cycle,
                 probes,
-            };
-            let hits = obs.hits(recipe.hit_threshold);
-            if state.last_hits.as_ref() == Some(&hits) {
-                state.stable_streak += 1;
-            } else {
-                state.stable_streak = 0;
-                state.last_hits = Some(hits);
-            }
-            if let Some(k) = recipe.stop_when_stable {
-                stable = state.stable_streak >= k;
-            }
-            self.shared.borrow_mut().observations.push(obs);
+            });
         }
-        let done_replaying = state.replays_this_step >= recipe.replays_per_step || stable;
-        if done_replaying {
+        if state.replays_this_step < recipe.replays_per_step {
+            // Keep the Present bit clear; re-arm timing for the next replay.
+            rearm_handle(hw, aspace, recipe);
+        } else {
             // Release the handle so the victim makes forward progress.
             release_page(&self.probe, hw, aspace, recipe.replay_handle);
             state.replays_this_step = 0;
-            state.last_hits = None;
-            state.stable_streak = 0;
             match recipe.pivot {
                 Some(pivot) => {
                     // Arm the pivot to regain control after this iteration;
@@ -285,24 +251,10 @@ impl MicroScopeModule {
                     state.phase = Phase::Pivot;
                 }
                 None => {
-                    state.finished = true;
                     let mut sh = self.shared.borrow_mut();
-                    sh.finished[idx] = true;
-                    sh.steps[idx] = state.steps_done + 1;
-                    self.probe.emit(
-                        None,
-                        EventKind::RecipeFinished {
-                            recipe: idx as u32,
-                            replays: sh.replays[idx],
-                        },
-                    );
+                    sh.steps[idx] += 1;
+                    finish(&mut sh, &self.probe, idx);
                 }
-            }
-        } else {
-            // Keep the Present bit clear; re-arm timing for the next replay.
-            apply_tuning(hw, aspace, recipe.replay_handle, recipe.walk);
-            if recipe.prime_between_replays {
-                prime_lines(hw, aspace, &recipe.monitor_addrs);
             }
         }
         SupervisorAction::cycles(recipe.handler_cycles)
@@ -317,67 +269,31 @@ impl MicroScopeModule {
         ev: &FaultEvent,
     ) -> SupervisorAction {
         let (recipe, state) = &mut self.recipes[idx];
-        let pivot = recipe.pivot.expect("pivot phase requires a pivot");
-        {
-            let mut sh = self.shared.borrow_mut();
-            sh.fault_log.push((ev.cycle, ev.fault.vaddr));
+        let mut sh = self.shared.borrow_mut();
+        enter_handler(&mut sh, &self.probe, ev);
+        if let Some(pivot) = recipe.pivot {
+            release_page(&self.probe, hw, aspace, pivot);
         }
-        self.probe.emit(
-            Some(ev.ctx.0 as u32),
-            EventKind::HandlerEnter {
-                vaddr: ev.fault.vaddr.0,
-            },
-        );
-        release_page(&self.probe, hw, aspace, pivot);
-        state.steps_done += 1;
-        self.shared.borrow_mut().steps[idx] = state.steps_done;
+        sh.steps[idx] += 1;
         self.probe.emit(
             Some(ev.ctx.0 as u32),
             EventKind::PivotStep {
                 recipe: idx as u32,
-                step: state.steps_done,
+                step: sh.steps[idx],
             },
         );
-        if state.steps_done >= recipe.max_steps {
-            state.finished = true;
-            self.shared.borrow_mut().finished[idx] = true;
-            self.probe.emit(
-                None,
-                EventKind::RecipeFinished {
-                    recipe: idx as u32,
-                    replays: self.shared.borrow().replays[idx],
-                },
-            );
+        if sh.steps[idx] >= recipe.max_steps {
+            finish(&mut sh, &self.probe, idx);
         } else {
             // Re-arm the handle for the next iteration (§4.2.2: "clears the
             // present bit for the replay handle … when the Victim resumes
             // execution, it retires all the instructions of the current
             // iteration and proceeds to the next").
             fault_page(&self.probe, hw, aspace, recipe.replay_handle);
-            apply_tuning(hw, aspace, recipe.replay_handle, recipe.walk);
-            if recipe.prime_between_replays {
-                prime_lines(hw, aspace, &recipe.monitor_addrs);
-            }
+            rearm_handle(hw, aspace, recipe);
             state.phase = Phase::Handle;
         }
         SupervisorAction::cycles(recipe.handler_cycles)
-    }
-
-    /// Captures the module's mutable state — per-recipe progress and the
-    /// shared observation log — for a machine checkpoint.
-    pub fn checkpoint(&self) -> ModuleCheckpoint {
-        ModuleCheckpoint {
-            recipes: self.recipes.clone(),
-            shared: self.shared.borrow().clone(),
-        }
-    }
-
-    /// Rewinds the module to a [`MicroScopeModule::checkpoint`]. The
-    /// restore writes *through* the [`SharedHandle`], so host-side clones
-    /// of the handle observe the rewound observation state too.
-    pub fn restore(&mut self, cp: &ModuleCheckpoint) {
-        self.recipes = cp.recipes.clone();
-        *self.shared.borrow_mut() = cp.shared.clone();
     }
 
     /// A snapshot of the shared observation state.
@@ -386,15 +302,36 @@ impl MicroScopeModule {
     }
 }
 
-/// Opaque snapshot of a [`MicroScopeModule`]'s mutable state: every
-/// installed recipe with its replay/pivot progress (phase, counts,
-/// confidence streaks) plus the shared observation log. Restoring one via
-/// [`MicroScopeModule::restore`] clones it, so a single snapshot seeds any
-/// number of re-executions.
-#[derive(Clone, Debug)]
-pub struct ModuleCheckpoint {
-    recipes: Vec<(AttackRecipe, RecipeState)>,
-    shared: ModuleShared,
+/// The handler is entered for a fault the module claimed: log it.
+fn enter_handler(sh: &mut ModuleShared, probe: &Probe, ev: &FaultEvent) {
+    sh.fault_log.push((ev.cycle, ev.fault.vaddr));
+    probe.emit(
+        Some(ev.ctx.0 as u32),
+        EventKind::HandlerEnter {
+            vaddr: ev.fault.vaddr.0,
+        },
+    );
+}
+
+/// The recipe at `idx` has run its last step: it disarms itself.
+fn finish(sh: &mut ModuleShared, probe: &Probe, idx: usize) {
+    sh.finished[idx] = true;
+    probe.emit(
+        None,
+        EventKind::RecipeFinished {
+            recipe: idx as u32,
+            replays: sh.replays[idx],
+        },
+    );
+}
+
+/// Readies the (faulted) handle for its next replay: walk tuning, then
+/// priming of the monitored lines when the recipe asks for it.
+fn rearm_handle(hw: &mut HwParts, aspace: AddressSpace, recipe: &AttackRecipe) {
+    apply_tuning(hw, aspace, recipe.replay_handle, recipe.walk);
+    if recipe.prime_between_replays {
+        prime_lines(hw, aspace, &recipe.monitor_addrs);
+    }
 }
 
 /// Faults `addr`'s page: clears its Present bit and flushes its
@@ -434,18 +371,20 @@ mod tests {
         m.provide_pivot(id, VAddr(0x2000));
         m.provide_monitor_addr(id, VAddr(0x3000));
         m.provide_monitor_addr(id, VAddr(0x3040));
-        let r = m.recipe(id);
+        let r = m.recipe_mut(id);
         assert_eq!(r.replay_handle, VAddr(0x1000));
         assert_eq!(r.pivot, Some(VAddr(0x2000)));
         assert_eq!(r.monitor_addrs.len(), 2);
+        assert_eq!(m.check(), Ok(()));
     }
 
     #[test]
-    #[should_panic(expected = "different page")]
-    fn pivot_on_handle_page_rejected_via_api() {
+    fn check_names_the_recipe_with_a_pivot_on_its_handle_page() {
         let mut m = MicroScopeModule::new();
-        let id = m.provide_replay_handle(ContextId(0), VAddr(0x1000));
-        m.provide_pivot(id, VAddr(0x1800));
+        m.provide_replay_handle(ContextId(0), VAddr(0x1000));
+        let id = m.provide_replay_handle(ContextId(0), VAddr(0x5000));
+        m.provide_pivot(id, VAddr(0x5800));
+        assert_eq!(m.check(), Err((id, "pivot", 0x5800)));
     }
 
     #[test]

@@ -27,8 +27,10 @@ pub enum WalkTuning {
 }
 
 /// Everything the module needs for one microarchitectural replay attack —
-/// "the replay handle, the pivot, and addresses to monitor … a confidence
-/// threshold … a set of attack functions" (§5.2.1).
+/// "the replay handle, the pivot, and addresses to monitor … a set of
+/// attack functions" (§5.2.1). The paper's confidence threshold, which
+/// stops a step early once the probes agree, is not modelled: no harness
+/// used it, so every step runs `replays_per_step` replays.
 #[derive(Clone, Debug)]
 pub struct AttackRecipe {
     /// Human-readable name (diagnostics only).
@@ -55,13 +57,6 @@ pub struct AttackRecipe {
     /// Whether to evict the monitored lines before resuming the victim
     /// (Prime+Probe priming; Figure 11's "Replay 1/2" behaviour).
     pub prime_between_replays: bool,
-    /// Confidence threshold: stop replaying a step early once the
-    /// hit/miss classification of the monitored lines has been identical
-    /// for this many consecutive replays. `None` always runs
-    /// `replays_per_step` replays.
-    pub stop_when_stable: Option<u64>,
-    /// Probe latency below which a line is classified as a cache hit.
-    pub hit_threshold: u64,
     /// Simulated cycles the fault handler occupies the victim context.
     pub handler_cycles: u64,
 }
@@ -80,28 +75,24 @@ impl AttackRecipe {
             max_steps: 1,
             walk: WalkTuning::Long,
             prime_between_replays: false,
-            stop_when_stable: None,
-            hit_threshold: 100,
             handler_cycles: 800,
         }
     }
 
-    /// Validates internal consistency.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the pivot shares a page with the replay handle — the
-    /// paper's §4.2.2 correctness condition ("we choose the pivot from a
-    /// different page than the replay handle").
-    pub fn validate(&self) {
-        if let Some(p) = self.pivot {
-            assert!(
-                !p.same_page(self.replay_handle),
-                "pivot must live on a different page than the replay handle"
-            );
+    /// Checks the two rules the module relies on, naming the first field
+    /// that breaks one with its value: the pivot lives on a different page
+    /// than the replay handle (§4.2.2: "we choose the pivot from a
+    /// different page than the replay handle"), and a tuned walk fetches
+    /// 1..=4 levels.
+    pub fn check(&self) -> Result<(), (&'static str, u64)> {
+        if let Some(p) = self.pivot.filter(|p| p.same_page(self.replay_handle)) {
+            return Err(("pivot", p.0));
         }
-        if let WalkTuning::Length { levels } = self.walk {
-            assert!((1..=4).contains(&levels), "walk length must be 1..=4");
+        match self.walk {
+            WalkTuning::Length { levels } if !(1..=4).contains(&levels) => {
+                Err(("walk.levels", u64::from(levels)))
+            }
+            _ => Ok(()),
         }
     }
 }
@@ -116,21 +107,24 @@ mod tests {
         assert_eq!(r.walk, WalkTuning::Long);
         assert_eq!(r.max_steps, 1);
         assert!(r.pivot.is_none());
-        r.validate();
+        assert_eq!(r.check(), Ok(()));
     }
 
     #[test]
-    #[should_panic(expected = "different page")]
-    fn same_page_pivot_rejected() {
-        let mut r = AttackRecipe::new(ContextId(0), VAddr(0x1000));
-        r.pivot = Some(VAddr(0x1008));
-        r.validate();
-    }
-
-    #[test]
-    fn cross_page_pivot_accepted() {
+    fn check_names_the_broken_field() {
         let mut r = AttackRecipe::new(ContextId(0), VAddr(0x1000));
         r.pivot = Some(VAddr(0x2000));
-        r.validate();
+        assert_eq!(r.check(), Ok(()));
+        r.pivot = Some(VAddr(0x1008));
+        assert_eq!(r.check(), Err(("pivot", 0x1008)));
+        r.pivot = None;
+        for (levels, want) in [
+            (0, Err(("walk.levels", 0))),
+            (4, Ok(())),
+            (5, Err(("walk.levels", 5))),
+        ] {
+            r.walk = WalkTuning::Length { levels };
+            assert_eq!(r.check(), want, "levels {levels}");
+        }
     }
 }

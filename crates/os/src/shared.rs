@@ -38,7 +38,9 @@ impl Observation {
     }
 }
 
-/// Module outputs visible to the host-side attacker.
+/// Module outputs visible to the host-side attacker. Each recipe's replay
+/// count, step count and finished flag are stored here and nowhere else,
+/// so a kernel checkpoint's copy of this value rewinds them.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ModuleShared {
     /// Probe measurements, in fault order.

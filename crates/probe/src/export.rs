@@ -1,6 +1,6 @@
-//! Trace exporters: Chrome trace-event JSON (Perfetto-loadable) and
-//! JSONL. Both are assembled by hand — see [`crate::json`] — because the
-//! workspace takes no serialization dependencies.
+//! The trace exporter: Chrome trace-event JSON (Perfetto-loadable),
+//! assembled by hand — see [`crate::json`] — because the workspace takes
+//! no serialization dependencies.
 
 use crate::event::{Event, Layer};
 use crate::timeline::{self, Phase};
@@ -108,34 +108,6 @@ pub fn chrome_trace(events: &[Event]) -> String {
     out
 }
 
-/// Serializes events as JSON Lines: one flat object per event.
-pub fn jsonl(events: &[Event]) -> String {
-    let mut out = String::with_capacity(events.len() * 80);
-    for e in events {
-        out.push_str("{\"cycle\":");
-        out.push_str(&e.cycle.to_string());
-        out.push_str(",\"layer\":\"");
-        out.push_str(e.kind.layer().name());
-        out.push_str("\",\"event\":\"");
-        out.push_str(e.kind.name());
-        out.push('"');
-        if let Some(c) = e.ctx {
-            out.push_str(",\"ctx\":");
-            out.push_str(&c.to_string());
-        }
-        out.push_str(",\"replay\":");
-        out.push_str(&e.replay.to_string());
-        let mut args = String::new();
-        e.kind.write_args_json(&mut args);
-        if !args.is_empty() {
-            out.push(',');
-            out.push_str(&args);
-        }
-        out.push_str("}\n");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,18 +183,8 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_lines_each_parse() {
-        let doc = jsonl(&sample_events());
-        assert_eq!(doc.lines().count(), 6);
-        for line in doc.lines() {
-            json::validate(line).expect("line parses");
-        }
-    }
-
-    #[test]
     fn empty_stream_exports_cleanly() {
         let doc = chrome_trace(&[]);
         json::validate(&doc).expect("empty trace parses");
-        assert_eq!(jsonl(&[]), "");
     }
 }

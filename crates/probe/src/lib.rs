@@ -16,9 +16,9 @@
 //! * [`Recorder`] — bounded ring buffer behind the probe, with an explicit
 //!   drop counter (nothing is ever lost silently).
 //! * [`MetricSet`] — ordered name→value registry each layer's stats
-//!   structs can be collected into.
-//! * [`export`] — hand-rolled std-only exporters: Chrome trace-event JSON
-//!   (loadable in Perfetto / `chrome://tracing`) and JSONL.
+//!   structs can be collected into, exported as JSON Lines.
+//! * [`export`] — hand-rolled std-only exporter: Chrome trace-event JSON
+//!   (loadable in Perfetto / `chrome://tracing`).
 //! * [`timeline`] — reconstructs the paper's Fig. 3 attack timeline
 //!   (setup → walk → speculative window → fault → squash → replay N) from
 //!   a raw event stream.

@@ -105,23 +105,6 @@ impl Recorder {
         self.dropped
     }
 
-    /// Number of events currently held.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the ring holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Discards all events (the drop counter is reset too).
-    pub fn clear(&mut self) {
-        Rc::make_mut(&mut self.buf).clear();
-        self.head = 0;
-        self.dropped = 0;
-    }
-
     /// Sets the ambient simulated cycle stamped onto subsequent events.
     pub fn set_cycle(&mut self, cycle: u64) {
         self.cycle = cycle;
@@ -236,26 +219,6 @@ impl Probe {
         match &self.inner {
             Some(rec) => rec.borrow().dropped(),
             None => 0,
-        }
-    }
-
-    /// Number of events currently recorded.
-    pub fn len(&self) -> usize {
-        match &self.inner {
-            Some(rec) => rec.borrow().len(),
-            None => 0,
-        }
-    }
-
-    /// Whether no events are recorded (always true when disabled).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Discards all recorded events.
-    pub fn clear(&self) {
-        if let Some(rec) = &self.inner {
-            rec.borrow_mut().clear();
         }
     }
 

@@ -184,7 +184,7 @@ for jobs in 1 2; do
 done
 rm -f "$ANALYZE_OUT"
 
-echo "== analyzer soundness, planner and eviction-set equivalence properties =="
+echo "== analyzer soundness, planner, eviction-set and checkpoint-engine properties =="
 cargo test -q --release --test analyze_soundness
 cargo test -q --release -p microscope-analyze --test plan_equivalence
 # The O(ways) L3 eviction set returns exactly the lines the old pool scan
@@ -193,6 +193,10 @@ cargo test -q --release -p microscope-cache --test eviction_set
 # Any instruction vector is a Program or a typed ProgramError, and build,
 # execute and analyze never panic on a Program.
 cargo test -q --release --test program_fuzz
+# The engine contracts (cold == checkpointed rerun, fast-forward on ==
+# off, capture at any cycle), over looping victims that restore in the
+# pivot phase and mid-step.
+cargo test -q --release --test checkpoint_replay
 
 echo "== closed-pipe smoke: harness binaries into head -1 =="
 # A reader that stops early must end the run quietly: status 0 and no

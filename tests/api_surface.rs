@@ -118,6 +118,12 @@ fn displays_follow_what_failed_colon_why() {
             arg: "--smaples".into(),
         }
         .to_string(),
+        BuildError::InvalidRecipe {
+            recipe: microscope::os::RecipeId(1),
+            field: "walk.levels",
+            value: 0,
+        }
+        .to_string(),
     ];
     for msg in &cases {
         assert!(
@@ -145,6 +151,10 @@ fn displays_follow_what_failed_colon_why() {
     assert_eq!(
         cases[13],
         "parsing --smaples failed: not an accepted argument"
+    );
+    assert_eq!(
+        cases[14],
+        "session build failed: recipe 1 walk.levels = 0 breaks its rule"
     );
 }
 

@@ -39,7 +39,10 @@ use proptest::prelude::*;
 /// One generated victim: a handle load at a random position inside a
 /// straight-line mix of ALU ops, loads and multiplies — optionally also
 /// divisions, fences and (fenced) RDRANDs — with an optional SMT sibling
-/// that hammers the shared divider.
+/// that hammers the shared divider. With `steps`, the mix is a loop body
+/// that ends on a pivot page, and the recipe steps through the loop one
+/// iteration per step, probing and priming two data lines between
+/// replays.
 #[derive(Clone, Copy, Debug)]
 struct Knobs {
     ops: u8,
@@ -54,15 +57,25 @@ struct Knobs {
     /// Iterations of the sibling context's two-division loop (0 = no
     /// sibling).
     hammer_divs: u8,
+    /// Iterations of the victim loop, each one recipe step (0 = a
+    /// straight-line victim and a one-step recipe without pivot).
+    steps: u8,
 }
 
 fn arb_knobs() -> impl Strategy<Value = Knobs> {
     (
         (4u8..24, 0u8..100, 1u64..10, 0u8..2, 1u8..5, 0u8..3),
-        (0u8..2, prop_oneof![Just(0u8), 1u8..40]),
+        (
+            0u8..2,
+            prop_oneof![Just(0u8), 1u8..40],
+            prop_oneof![Just(0u8), 2u8..5],
+        ),
     )
         .prop_map(
-            |((ops, handle_frac, replays, rob_small, walk_levels, cap), (serializing, hammer))| {
+            |(
+                (ops, handle_frac, replays, rob_small, walk_levels, cap),
+                (serializing, hammer, steps),
+            )| {
                 Knobs {
                     ops,
                     handle_frac,
@@ -73,6 +86,7 @@ fn arb_knobs() -> impl Strategy<Value = Knobs> {
                     probe_capacity: [64, 1_000, 100_000][cap as usize],
                     serializing: serializing == 1,
                     hammer_divs: hammer,
+                    steps,
                 }
             },
         )
@@ -103,14 +117,21 @@ fn build_deferred(k: &Knobs, defer: Option<u64>) -> AttackSession {
     let aspace = b.new_aspace(1);
     let handle = VAddr(0x1000_0000);
     let data = VAddr(0x1000_2000);
-    aspace.alloc_map(b.phys(), handle, 4096, PteFlags::user_data());
-    aspace.alloc_map(b.phys(), data, 4096, PteFlags::user_data());
-    let (hp, dp) = (Reg(14), Reg(13));
+    let pivot = VAddr(0x1000_4000);
+    for page in [handle, data, pivot] {
+        aspace.alloc_map(b.phys(), page, 4096, PteFlags::user_data());
+    }
+    let (hp, dp, pp, iter) = (Reg(14), Reg(13), Reg(12), Reg(11));
     let mut asm = Assembler::new();
-    asm.imm(hp, handle.0).imm(dp, data.0);
+    asm.imm(hp, handle.0)
+        .imm(dp, data.0)
+        .imm(pp, pivot.0)
+        .imm(iter, 0);
     for r in 1..8u8 {
         asm.imm(Reg(r), u64::from(r) * 11 + 3);
     }
+    let top = asm.label();
+    asm.bind(top);
     let handle_pos = usize::from(k.ops) * usize::from(k.handle_frac) / 100;
     for i in 0..usize::from(k.ops) {
         if i == handle_pos {
@@ -143,6 +164,12 @@ fn build_deferred(k: &Knobs, defer: Option<u64>) -> AttackSession {
             }
         }
     }
+    if k.steps > 0 {
+        asm.load(Reg(9), pp, 0)
+            .alu_imm(AluOp::Add, iter, iter, 1)
+            .imm(Reg(10), u64::from(k.steps))
+            .branch(Cond::Lt, iter, Reg(10), top);
+    }
     asm.halt();
     b.victim(asm.finish(), aspace);
     if k.hammer_divs > 0 {
@@ -170,6 +197,12 @@ fn build_deferred(k: &Knobs, defer: Option<u64>) -> AttackSession {
         recipe.walk = WalkTuning::Length {
             levels: k.walk_levels,
         };
+        if k.steps > 0 {
+            recipe.pivot = Some(pivot);
+            recipe.max_steps = u64::from(k.steps);
+            recipe.monitor_addrs = vec![data, data.offset(0x100)];
+            recipe.prime_between_replays = true;
+        }
     }
     b.build().expect("generated session has a victim")
 }
@@ -200,6 +233,8 @@ proptest! {
             .execute(RunRequest::cold(BUDGET))
             .expect("a cold run cannot fail");
         let cold_issues = issue_counts(&cold_session);
+        // A looping victim takes the recipe through every pivot step.
+        prop_assert_eq!(&cold.module.steps, &vec![u64::from(k.steps.max(1))]);
         let mut session = build(&k);
         let first = session
             .execute(RunRequest::cold(BUDGET))
@@ -418,6 +453,7 @@ fn mid_run_capture_replays_like_cold() {
             probe_capacity: 100_000,
             serializing: true,
             hammer_divs,
+            steps: 0,
         };
         let req = if hammer_divs > 0 {
             RunRequest::cold(BUDGET).until_monitor_done()
@@ -459,6 +495,7 @@ fn probe_ring_overflow_counts_every_dropped_event() {
         probe_capacity: 1_000_000,
         serializing: false,
         hammer_divs: 0,
+        steps: 0,
     };
     let full = build(&k)
         .execute(RunRequest::cold(BUDGET))

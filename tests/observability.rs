@@ -99,17 +99,18 @@ fn chrome_trace_export_is_parseable_json() {
 }
 
 #[test]
-fn snapshot_reports_samples_per_replay() {
+fn analytics_report_samples_per_replay() {
     let report = traced_attack(5);
-    let snap = report.snapshot();
-    assert_eq!(snap.replays, 5);
+    assert_eq!(report.replays(), 5);
+    let analytics = report.analytics();
     // One observation per replay, each probing the single monitor address.
-    assert_eq!(snap.samples_per_replay, vec![1, 1, 1, 1, 1]);
+    assert_eq!(analytics.samples_per_replay, vec![1, 1, 1, 1, 1]);
     // Every replay squashed the same speculative window.
-    assert_eq!(snap.window_histogram.iter().map(|(_, n)| n).sum::<u64>(), 5);
-    assert!(snap.mean_window > 0.0);
+    let histogram = analytics.window_histogram();
+    assert_eq!(histogram.iter().map(|(_, n)| n).sum::<u64>(), 5);
+    assert!(analytics.mean_window() > 0.0);
     assert_eq!(
-        snap.metrics.get("cpu.ctx0.fault_squashes"),
+        report.metrics.get("cpu.ctx0.fault_squashes"),
         Some(microscope::probe::MetricValue::Count(5))
     );
 }
