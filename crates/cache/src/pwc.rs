@@ -96,7 +96,8 @@ impl PageWalkCache {
         }
     }
 
-    /// Inserts an entry, evicting LRU when full.
+    /// Inserts an entry, evicting LRU when full. A zero-entry PWC holds
+    /// nothing.
     pub fn insert(&mut self, entry_paddr: PAddr) {
         self.tick += 1;
         let tick = self.tick;
@@ -110,13 +111,10 @@ impl PageWalkCache {
             entries.push((entry_paddr, tick));
             return;
         }
-        let lru = entries
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, (_, used))| *used)
-            .map(|(i, _)| i)
-            .expect("PWC non-empty");
-        entries[lru] = (entry_paddr, tick);
+        let lru = entries.iter_mut().min_by_key(|(_, used)| *used);
+        if let Some(lru) = lru {
+            *lru = (entry_paddr, tick);
+        }
     }
 
     /// Removes one entry if present.
@@ -158,6 +156,16 @@ mod tests {
         assert!(pwc.lookup(PAddr(1)));
         assert!(!pwc.lookup(PAddr(2)));
         assert!(pwc.lookup(PAddr(3)));
+    }
+
+    #[test]
+    fn zero_entry_pwc_holds_nothing() {
+        let mut pwc = PageWalkCache::new(PwcConfig {
+            entries: 0,
+            hit_latency: 1,
+        });
+        pwc.insert(PAddr(1));
+        assert!(!pwc.lookup(PAddr(1)));
     }
 
     #[test]

@@ -33,15 +33,19 @@ pub enum BuildError {
         /// The first slot that does not translate.
         vaddr: VAddr,
     },
-    /// A hierarchy or TLB field breaks the rule its model needs: cache and
-    /// TLB `sets`, `l1_banks`, `dram.banks` and `dram.lines_per_row` must
-    /// be powers of two, and cache and TLB `ways` non-zero (see
-    /// [`HierarchyConfig::check`](microscope_cache::HierarchyConfig::check)
-    /// and
-    /// [`TlbHierarchyConfig::check`](microscope_mem::TlbHierarchyConfig::check)).
+    /// A hierarchy, TLB, page-walker or branch-predictor field breaks the
+    /// rule its model needs: cache and TLB `sets`, `l1_banks`,
+    /// `dram.banks`, `dram.lines_per_row` and the predictor's
+    /// `pht_entries` must be powers of two, cache and TLB `ways` and the
+    /// page-walk cache's `entries` non-zero, and the predictor's
+    /// `reset_value` at most 3 (see
+    /// [`HierarchyConfig::check`](microscope_cache::HierarchyConfig::check),
+    /// [`TlbHierarchyConfig::check`](microscope_mem::TlbHierarchyConfig::check),
+    /// [`WalkerConfig::check`](microscope_mem::WalkerConfig::check) and
+    /// [`PredictorConfig::check`](microscope_cpu::PredictorConfig::check)).
     InvalidConfig {
         /// The field, as a path inside `SimConfig` (`"hierarchy.l1.ways"`,
-        /// `"tlb.l1d.sets"`).
+        /// `"tlb.l1d.sets"`, `"walker.pwc.entries"`).
         field: &'static str,
         /// Its value.
         value: u64,

@@ -125,15 +125,18 @@ impl SessionBuilder {
     /// Assembles the machine, arms the module, installs the kernel.
     ///
     /// Fails with [`BuildError::NoVictim`] when no victim was installed,
-    /// [`BuildError::InvalidConfig`] when a hierarchy or TLB field breaks
-    /// its rule, [`BuildError::InvalidRecipe`] when an attack recipe does,
-    /// and [`BuildError::MonitorBufferUnmapped`] when a monitor buffer slot
-    /// does not translate.
+    /// [`BuildError::InvalidConfig`] when a hierarchy, TLB, page-walker or
+    /// branch-predictor field breaks its rule, [`BuildError::InvalidRecipe`]
+    /// when an attack recipe does, and
+    /// [`BuildError::MonitorBufferUnmapped`] when a monitor buffer slot does
+    /// not translate.
     pub fn build(self) -> Result<AttackSession, BuildError> {
         let (victim_prog, victim_asp) = self.victim.ok_or(BuildError::NoVictim)?;
         let invalid = |(field, value)| BuildError::InvalidConfig { field, value };
         self.sim.hierarchy.check().map_err(invalid)?;
         self.sim.tlb.check().map_err(invalid)?;
+        self.sim.walker.check().map_err(invalid)?;
+        self.sim.core.predictor.check().map_err(invalid)?;
         self.module
             .check()
             .map_err(|(recipe, field, value)| BuildError::InvalidRecipe {
@@ -660,6 +663,24 @@ mod tests {
     #[test]
     fn tlb_l2_ways_must_be_non_zero() {
         assert_eq!(build_on(|c| c.tlb.l2.ways = 0), invalid("tlb.l2.ways", 0));
+    }
+
+    #[test]
+    fn pwc_entries_must_be_non_zero() {
+        let got = build_on(|c| c.walker.pwc.entries = 0);
+        assert_eq!(got, invalid("walker.pwc.entries", 0));
+    }
+
+    #[test]
+    fn predictor_pht_entries_must_be_a_power_of_two() {
+        let got = build_on(|c| c.core.predictor.pht_entries = 1000);
+        assert_eq!(got, invalid("core.predictor.pht_entries", 1000));
+    }
+
+    #[test]
+    fn predictor_reset_value_must_be_a_counter_state() {
+        let got = build_on(|c| c.core.predictor.reset_value = 4);
+        assert_eq!(got, invalid("core.predictor.reset_value", 4));
     }
 
     /// Builds a session whose victim loads its handle page, with two

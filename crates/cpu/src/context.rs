@@ -2,7 +2,7 @@
 
 use crate::isa::{Inst, Reg};
 use crate::program::Program;
-use crate::rob::{RobEntry, RobState};
+use crate::rob::{RobEntry, RobState, Src, SrcList};
 use crate::stats::ContextStats;
 use microscope_cache::{LineAddr, PAddr};
 use microscope_mem::AddressSpace;
@@ -234,24 +234,59 @@ impl Context {
         &self.rob[self.index_of(tag)]
     }
 
-    /// Appends a freshly dispatched entry (operands already captured) and
-    /// threads it into the RAT, the consumer lists and the issue lists.
-    pub(crate) fn dispatch(&mut self, e: RobEntry) {
+    /// Dispatches `inst` in one pass: each operand reads the RAT once and
+    /// takes the architectural value, a `Done` producer's value, or a link
+    /// onto its producer's list. The entry goes straight into the ROB and
+    /// its lists; its destination enters the RAT last, so a source naming
+    /// it reads the older producer. `taken` is the predicted direction and
+    /// `serial` marks a serializing instruction; a pending post-flush fence
+    /// is taken.
+    pub(crate) fn dispatch(&mut self, seq: u64, pc: usize, inst: Inst, taken: bool, serial: bool) {
         let tag = self.tag_of(self.rob.len());
-        if e.srcs_ready() {
+        let mut srcs = SrcList::new();
+        let mut next_consumer = [0; 2];
+        let mut ready = true;
+        for (slot, r) in inst.sources().iter().enumerate() {
+            srcs.push(match self.rat[r.index()] {
+                None => Src::Ready(self.arch_regs[r.index()]),
+                Some(p) if self.entry(p).state == RobState::Done => Src::Ready(self.entry(p).value),
+                Some(p) => {
+                    next_consumer[slot] = self.link(tag, p, srcs.as_slice());
+                    ready = false;
+                    Src::Pending(p)
+                }
+            });
+        }
+        let blocks_younger = serial || std::mem::take(&mut self.post_flush_fence);
+        if ready {
             self.ready.push(tag);
         }
-        if matches!(e.inst, Inst::Store { .. }) {
+        if matches!(inst, Inst::Store { .. }) {
             self.stores.push(tag);
         }
-        if e.blocks_younger {
+        if blocks_younger {
             self.fences.push(tag);
         }
-        if let Some(dst) = e.dst() {
+        if let Some(dst) = inst.dst() {
             self.rat[dst.index()] = Some(tag);
         }
-        self.rob.push_back(e);
-        self.link(self.rob.len() - 1);
+        self.rob.push_back(RobEntry {
+            seq,
+            pc,
+            inst,
+            state: RobState::Waiting,
+            value: 0,
+            srcs,
+            fault: None,
+            predicted_taken: taken,
+            mem_addr: None,
+            store_value: None,
+            fill_at_retire: None,
+            blocks_younger,
+            exec_at_head: serial,
+            consumers: 0,
+            next_consumer,
+        });
     }
 
     /// Removes the ROB head for retirement, clearing its RAT mapping if it
@@ -267,15 +302,15 @@ impl Context {
         Some(e)
     }
 
-    /// Threads ROB entry `j` onto the consumer list of each producer it
-    /// waits on.
-    fn link(&mut self, j: usize) {
-        let tag = self.tag_of(j);
-        for (slot, p) in self.rob[j].srcs.producers() {
-            let producer = self.index_of(p);
-            let head = std::mem::replace(&mut self.rob[producer].consumers, tag);
-            self.rob[j].next_consumer[slot] = head;
+    /// The one linking rule, for an operand of consumer `tag` waiting on
+    /// `p` after the operands `earlier`: only the first slot naming `p`
+    /// joins the head of its list. Returns the slot's link (0 = none).
+    fn link(&mut self, tag: u64, p: u64, earlier: &[Src]) -> u64 {
+        if earlier.contains(&Src::Pending(p)) {
+            return 0;
         }
+        let producer = self.index_of(p);
+        std::mem::replace(&mut self.rob[producer].consumers, tag)
     }
 
     /// Pops the oldest entry of the calendar whose completion is due.
@@ -320,11 +355,18 @@ impl Context {
         self.calendar.retain(|&Reverse((_, t))| t <= tag);
         self.rat = [None; Reg::COUNT];
         for j in 0..keep {
+            let consumer = self.tag_of(j);
             self.rob[j].consumers = 0;
             if let Some(dst) = self.rob[j].dst() {
-                self.rat[dst.index()] = Some(self.tag_of(j));
+                self.rat[dst.index()] = Some(consumer);
             }
-            self.link(j);
+            let srcs = self.rob[j].srcs;
+            for (slot, &s) in srcs.iter().enumerate() {
+                if let Src::Pending(p) = s {
+                    self.rob[j].next_consumer[slot] =
+                        self.link(consumer, p, &srcs.as_slice()[..slot]);
+                }
+            }
         }
         n
     }
@@ -360,14 +402,45 @@ impl Context {
         assert_eq!(due, expected);
         let live = |t: u64| self.rob.get(t.wrapping_sub(self.head_tag) as usize);
         for (j, e) in self.rob.iter().enumerate() {
-            for (_, p) in e.srcs.producers() {
-                assert!(
-                    p < self.tag_of(j) && live(p).is_some_and(|q| q.state != RobState::Done),
-                    "tag {} waits on {p}, which is not an older undelivered entry",
-                    self.tag_of(j)
-                );
+            for &s in e.srcs.iter() {
+                if let Src::Pending(p) = s {
+                    assert!(
+                        p < self.tag_of(j) && live(p).is_some_and(|q| q.state != RobState::Done),
+                        "tag {} waits on {p}, which is not an older undelivered entry",
+                        self.tag_of(j)
+                    );
+                }
             }
         }
+        // Each undelivered producer's list holds exactly the entries with
+        // an operand pending on it, each once, youngest first: every link
+        // names a younger tag than the last that waits on the producer, and
+        // the lists hold one link per (consumer, producer) pair. Completion
+        // walks a `Done` producer's list once and leaves it stale.
+        let first_pending = |e: &RobEntry| {
+            let srcs = e.srcs.as_slice();
+            (0..srcs.len())
+                .filter(|&slot| matches!(srcs[slot], Src::Pending(_)))
+                .filter(|&slot| !srcs[..slot].contains(&srcs[slot]))
+                .count()
+        };
+        let pairs: usize = self.rob.iter().map(first_pending).sum();
+        let mut links = 0;
+        for (i, e) in self.rob.iter().enumerate() {
+            let (p, mut next, mut prev) = (self.tag_of(i), e.consumers, u64::MAX);
+            while e.state != RobState::Done && next != 0 {
+                let link = live(next).filter(|_| next < prev).and_then(|c| {
+                    let slot = c.srcs.iter().position(|&s| s == Src::Pending(p))?;
+                    Some(c.next_consumer[slot])
+                });
+                assert!(
+                    link.is_some(),
+                    "tag {p} lists tag {next}, which is out of order or not waiting on it"
+                );
+                (links, prev, next) = (links + 1, next, link.unwrap_or(0));
+            }
+        }
+        assert_eq!(links, pairs, "a consumer list misses a waiting entry");
         for (r, t) in self.rat.iter().enumerate() {
             if let Some(t) = *t {
                 assert!(
@@ -383,32 +456,35 @@ impl Context {
 mod tests {
     use super::*;
     use crate::isa::{AluOp, Inst};
-    use crate::rob::{RobState, Src};
+    use crate::rob::RobState;
     use microscope_mem::PhysMem;
 
-    fn dummy_entry(seq: u64, dst: Reg) -> RobEntry {
-        RobEntry {
-            seq,
-            pc: 0,
-            inst: Inst::AluImm {
-                op: AluOp::Add,
-                dst,
-                a: Reg(0),
-                imm: 0,
-            },
-            state: RobState::Waiting,
-            value: 0,
-            srcs: [Src::Ready(0)].into_iter().collect(),
-            fault: None,
-            predicted_taken: false,
-            mem_addr: None,
-            store_value: None,
-            fill_at_retire: None,
-            blocks_younger: false,
-            exec_at_head: false,
-            consumers: 0,
-            next_consumer: [0; 2],
-        }
+    /// Dispatches `dst = a + b` as a plain (non-serializing) instruction.
+    fn add(c: &mut Context, seq: u64, dst: Reg, a: Reg, b: Reg) {
+        let inst = Inst::Alu {
+            op: AluOp::Add,
+            dst,
+            a,
+            b,
+        };
+        c.dispatch(seq, 0, inst, false, false);
+    }
+
+    /// Dispatches `dst = a + 0`.
+    fn add_imm(c: &mut Context, seq: u64, dst: Reg, a: Reg) {
+        let inst = Inst::AluImm {
+            op: AluOp::Add,
+            dst,
+            a,
+            imm: 0,
+        };
+        c.dispatch(seq, 0, inst, false, false);
+    }
+
+    /// Dispatches an entry whose operand is ready: `r0` has no producer in
+    /// these tests.
+    fn ready_entry(c: &mut Context, seq: u64, dst: Reg) {
+        add_imm(c, seq, dst, Reg(0));
     }
 
     fn ctx() -> Context {
@@ -421,9 +497,9 @@ mod tests {
     #[test]
     fn squash_younger_keeps_prefix_and_rebuilds_rat() {
         let mut c = ctx();
-        c.dispatch(dummy_entry(1, Reg(1)));
-        c.dispatch(dummy_entry(2, Reg(2)));
-        c.dispatch(dummy_entry(3, Reg(1)));
+        ready_entry(&mut c, 1, Reg(1));
+        ready_entry(&mut c, 2, Reg(2));
+        ready_entry(&mut c, 3, Reg(1));
         assert_eq!(c.rat[1], Some(3));
         let dropped = c.squash_younger_than(2);
         assert_eq!(dropped, 1);
@@ -437,11 +513,9 @@ mod tests {
     #[test]
     fn squash_younger_relinks_surviving_consumers() {
         let mut c = ctx();
-        c.dispatch(dummy_entry(1, Reg(1)));
+        ready_entry(&mut c, 1, Reg(1));
         for seq in 2..5 {
-            let mut e = dummy_entry(seq, Reg(2));
-            e.srcs = [Src::Pending(1)].into_iter().collect();
-            c.dispatch(e);
+            add_imm(&mut c, seq, Reg(2), Reg(1));
         }
         assert_eq!(c.rob[0].consumers, 4, "youngest consumer heads the list");
         c.squash_younger_than(3);
@@ -454,17 +528,11 @@ mod tests {
     #[test]
     fn squash_all_clears_everything() {
         let mut c = ctx();
-        c.dispatch(dummy_entry(1, Reg(1)));
+        ready_entry(&mut c, 1, Reg(1));
         assert_eq!(c.squash_all(), 1);
         assert!(c.rob.is_empty());
         assert!(c.rat.iter().all(Option::is_none));
         assert!(c.ready.is_empty());
-    }
-
-    fn waiting_on(seq: u64, dst: Reg, producer: u64) -> RobEntry {
-        let mut e = dummy_entry(seq, dst);
-        e.srcs = [Src::Pending(producer)].into_iter().collect();
-        e
     }
 
     /// Completes and retires the head, as the machine would.
@@ -478,16 +546,16 @@ mod tests {
     #[test]
     fn squash_younger_reissues_the_squashed_tags() {
         let mut c = ctx();
-        c.dispatch(dummy_entry(1, Reg(1)));
+        ready_entry(&mut c, 1, Reg(1));
         retire_head(&mut c);
         // Global seqs skip what the other context took; tags do not.
-        c.dispatch(dummy_entry(12, Reg(1)));
-        c.dispatch(waiting_on(15, Reg(2), 2));
-        c.dispatch(waiting_on(17, Reg(3), 3));
+        ready_entry(&mut c, 12, Reg(1));
+        add_imm(&mut c, 15, Reg(2), Reg(1));
+        add_imm(&mut c, 17, Reg(3), Reg(2));
         assert_eq!((c.tag_of(0), c.tag_of(2)), (2, 4));
         assert_eq!(c.squash_younger_than(2), 2);
         assert_eq!(c.rat[1], Some(2), "the RAT is rebuilt with tags");
-        c.dispatch(waiting_on(30, Reg(2), 2));
+        add_imm(&mut c, 30, Reg(2), Reg(1));
         assert_eq!(c.entry(3).seq, 30, "the re-dispatch takes the reissued tag");
         assert_eq!(c.index_of(3), 1);
         assert_eq!(c.tag_of(c.index_of(3)), 3);
@@ -502,12 +570,12 @@ mod tests {
     #[test]
     fn squash_all_reissues_from_the_head_tag() {
         let mut c = ctx();
-        c.dispatch(dummy_entry(1, Reg(1)));
-        c.dispatch(dummy_entry(2, Reg(2)));
+        ready_entry(&mut c, 1, Reg(1));
+        ready_entry(&mut c, 2, Reg(2));
         retire_head(&mut c);
         assert_eq!(c.squash_all(), 1);
-        c.dispatch(dummy_entry(7, Reg(4)));
-        c.dispatch(waiting_on(9, Reg(5), 2));
+        ready_entry(&mut c, 7, Reg(4));
+        add_imm(&mut c, 9, Reg(5), Reg(4));
         assert_eq!(c.entry(2).seq, 7, "tag 2 is reissued after the squash");
         assert_eq!((c.index_of(2), c.index_of(3)), (0, 1));
         assert_eq!((c.tag_of(0), c.tag_of(1)), (2, 3));
@@ -517,11 +585,110 @@ mod tests {
     }
 
     #[test]
+    fn dispatch_links_a_producer_named_twice_once_through_slot_0() {
+        let mut c = ctx();
+        ready_entry(&mut c, 1, Reg(1));
+        add(&mut c, 2, Reg(2), Reg(1), Reg(1));
+        assert_eq!(c.entry(2).srcs.as_slice(), [Src::Pending(1); 2]);
+        assert_eq!(c.entry(1).consumers, 2, "one link for both operands");
+        assert_eq!(c.entry(2).next_consumer, [0, 0]);
+        add(&mut c, 3, Reg(3), Reg(1), Reg(1));
+        assert_eq!(c.entry(1).consumers, 3);
+        assert_eq!(
+            c.entry(3).next_consumer,
+            [2, 0],
+            "the list threads through slot 0"
+        );
+        assert_eq!(c.ready, [1], "both consumers wait");
+        c.audit();
+    }
+
+    #[test]
+    fn dispatch_captures_a_done_producer_without_linking() {
+        let mut c = ctx();
+        ready_entry(&mut c, 1, Reg(1));
+        c.rob[0].state = RobState::Done;
+        c.rob[0].value = 42;
+        c.ready.clear();
+        add_imm(&mut c, 2, Reg(2), Reg(1));
+        assert_eq!(c.entry(2).srcs.as_slice(), [Src::Ready(42)]);
+        assert_eq!(c.entry(1).consumers, 0, "nothing is linked");
+        assert_eq!(c.entry(2).next_consumer, [0, 0]);
+        assert_eq!(c.ready, [2]);
+        c.audit();
+    }
+
+    #[test]
+    fn dispatch_reads_the_rat_before_writing_the_destination() {
+        let mut c = ctx();
+        c.arch_regs[5] = 9;
+        add_imm(&mut c, 1, Reg(5), Reg(5));
+        assert_eq!(
+            c.entry(1).srcs.as_slice(),
+            [Src::Ready(9)],
+            "from the arch file"
+        );
+        assert_eq!(c.rat[5], Some(1));
+        add_imm(&mut c, 2, Reg(5), Reg(5));
+        assert_eq!(
+            c.entry(2).srcs.as_slice(),
+            [Src::Pending(1)],
+            "from the older producer"
+        );
+        assert_eq!(c.entry(1).consumers, 2);
+        assert_eq!(c.rat[5], Some(2));
+        c.audit();
+    }
+
+    #[test]
+    fn dispatch_after_a_squash_links_the_reissued_tag() {
+        let mut c = ctx();
+        ready_entry(&mut c, 1, Reg(1));
+        add_imm(&mut c, 2, Reg(2), Reg(1));
+        add_imm(&mut c, 3, Reg(3), Reg(1));
+        assert_eq!(c.squash_younger_than(2), 1);
+        add(&mut c, 4, Reg(4), Reg(2), Reg(1));
+        assert_eq!(c.tag_of(2), 3, "the squashed tag is reissued");
+        assert_eq!(
+            c.entry(3).srcs.as_slice(),
+            [Src::Pending(2), Src::Pending(1)]
+        );
+        assert_eq!((c.entry(1).consumers, c.entry(2).consumers), (3, 3));
+        assert_eq!(
+            c.entry(3).next_consumer,
+            [0, 2],
+            "slot 1 threads onto tag 1's surviving list"
+        );
+        c.audit();
+    }
+
+    #[test]
+    #[should_panic(expected = "a consumer list misses a waiting entry")]
+    fn audit_rejects_a_consumer_list_missing_a_waiter() {
+        let mut c = ctx();
+        ready_entry(&mut c, 1, Reg(1));
+        add_imm(&mut c, 2, Reg(2), Reg(1));
+        add_imm(&mut c, 3, Reg(3), Reg(1));
+        c.rob[2].next_consumer[0] = 0;
+        c.audit();
+    }
+
+    #[test]
+    #[should_panic(expected = "tag 1 lists tag 2, which is out of order or not waiting on it")]
+    fn audit_rejects_a_consumer_list_naming_a_non_waiter() {
+        let mut c = ctx();
+        ready_entry(&mut c, 1, Reg(1));
+        ready_entry(&mut c, 2, Reg(2));
+        c.rob[0].consumers = 2;
+        c.audit();
+    }
+
+    #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "is not live")]
     fn index_of_rejects_a_dead_tag() {
         let mut c = ctx();
-        c.dispatch(dummy_entry(1, Reg(1)));
+        ready_entry(&mut c, 1, Reg(1));
         retire_head(&mut c);
         c.index_of(1);
     }

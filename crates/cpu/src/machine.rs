@@ -6,7 +6,7 @@ use crate::isa::{FpOp, Inst, Reg};
 use crate::ports::{PortKind, Ports};
 use crate::predictor::BranchPredictor;
 use crate::program::Program;
-use crate::rob::{RobEntry, RobState, SquashCause, Src, SrcList};
+use crate::rob::{RobEntry, RobState, SquashCause};
 use crate::stats::MachineStats;
 use crate::supervisor::{
     FaultEvent, HwParts, InterruptEvent, NullSupervisor, Supervisor, SupervisorAction,
@@ -897,12 +897,12 @@ impl Machine {
         while next != 0 {
             let consumer = next;
             let j = ctx.index_of(consumer);
-            let c = &mut ctx.rob[j];
-            next = c.deliver(tag, value);
-            if c.srcs_ready() {
+            let (after, ready) = ctx.rob[j].deliver(tag, value);
+            if ready {
                 let at = ctx.ready.partition_point(|&t| t < consumer);
                 ctx.ready.insert(at, consumer);
             }
+            next = after;
         }
         self.emit(now, ci, EventKind::Complete { seq });
         let Inst::Branch { target, .. } = inst else {
@@ -1199,19 +1199,6 @@ impl Machine {
                 }
                 let seq = self.next_seq;
                 self.next_seq += 1;
-                // Operand capture through the RAT.
-                let ctx = &self.contexts[ci];
-                let srcs: SrcList = (inst.sources().iter())
-                    .map(|r| match ctx.rat[r.index()] {
-                        Some(ptag) => match ctx.entry(ptag) {
-                            producer if producer.state == RobState::Done => {
-                                Src::Ready(producer.value)
-                            }
-                            _ => Src::Pending(ptag),
-                        },
-                        None => Src::Ready(ctx.arch_regs[r.index()]),
-                    })
-                    .collect();
                 // Next-pc logic and branch prediction.
                 let mut predicted_taken = false;
                 match inst {
@@ -1229,26 +1216,7 @@ impl Machine {
                 // serializing instruction waits for every older entry and
                 // holds every younger one until it completes.
                 let exec_at_head = inst.is_serializing(self.cfg.rdrand_is_fenced);
-                let post_flush = std::mem::take(&mut self.contexts[ci].post_flush_fence);
-                let blocks_younger = exec_at_head || post_flush;
-                let entry = RobEntry {
-                    seq,
-                    pc,
-                    inst,
-                    state: RobState::Waiting,
-                    value: 0,
-                    srcs,
-                    fault: None,
-                    predicted_taken,
-                    mem_addr: None,
-                    store_value: None,
-                    fill_at_retire: None,
-                    blocks_younger,
-                    exec_at_head,
-                    consumers: 0,
-                    next_consumer: [0; 2],
-                };
-                self.contexts[ci].dispatch(entry);
+                self.contexts[ci].dispatch(seq, pc, inst, predicted_taken, exec_at_head);
                 self.contexts[ci].stats.dispatched += 1;
                 self.emit(now, ci, EventKind::Fetch { seq, pc: pc as u64 });
                 if matches!(inst, Inst::Halt) {

@@ -33,6 +33,27 @@ impl Default for PredictorConfig {
     }
 }
 
+impl PredictorConfig {
+    /// Checks the rules [`BranchPredictor::new`] asserts, which a struct
+    /// literal can break: `pht_entries` is a power of two and
+    /// `reset_value` a 2-bit counter state (at most 3).
+    ///
+    /// # Errors
+    ///
+    /// The first field, in that order, that breaks its rule, as its path
+    /// from a simulation config's `core` field
+    /// (`"core.predictor.pht_entries"`) and its value.
+    pub fn check(&self) -> Result<(), (&'static str, u64)> {
+        if !self.pht_entries.is_power_of_two() {
+            return Err(("core.predictor.pht_entries", self.pht_entries as u64));
+        }
+        match self.reset_value {
+            0..=3 => Ok(()),
+            v => Err(("core.predictor.reset_value", u64::from(v))),
+        }
+    }
+}
+
 /// A pattern-history-table predictor with 2-bit saturating counters.
 ///
 /// The PHT is [`Rc`]-shared so checkpoint capture is a reference bump; the
@@ -50,7 +71,8 @@ impl BranchPredictor {
     ///
     /// # Panics
     ///
-    /// Panics if `pht_entries` is not a power of two or `reset_value > 3`.
+    /// Panics if `pht_entries` is not a power of two or `reset_value > 3`
+    /// (see [`PredictorConfig::check`]).
     pub fn new(cfg: PredictorConfig) -> Self {
         assert!(cfg.pht_entries.is_power_of_two());
         assert!(cfg.reset_value <= 3);
@@ -155,6 +177,23 @@ mod tests {
         let mut p = BranchPredictor::new(cfg);
         p.prime(3, true);
         assert!(p.predict(3 + 16), "aliased pc shares the counter");
+    }
+
+    #[test]
+    fn check_names_the_first_broken_field() {
+        assert_eq!(PredictorConfig::default().check(), Ok(()));
+        let mut cfg = PredictorConfig {
+            pht_entries: 1000,
+            reset_value: 4,
+        };
+        let first = Err(("core.predictor.pht_entries", 1000));
+        assert_eq!(cfg.check(), first, "the table size first");
+        cfg.pht_entries = 0;
+        assert_eq!(cfg.check(), Err(("core.predictor.pht_entries", 0)));
+        cfg.pht_entries = 16;
+        assert_eq!(cfg.check(), Err(("core.predictor.reset_value", 4)));
+        cfg.reset_value = 3;
+        assert_eq!(cfg.check(), Ok(()));
     }
 
     #[test]

@@ -108,25 +108,6 @@ impl SrcList {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
-
-    /// The pending producers, each once, with the first slot naming it:
-    /// the slot whose link threads the consumer onto that producer's list.
-    pub(crate) fn producers(self) -> impl Iterator<Item = (usize, u64)> {
-        (0..self.len()).filter_map(move |slot| match self.items[slot] {
-            Src::Pending(p) if !self.items[..slot].contains(&Src::Pending(p)) => Some((slot, p)),
-            _ => None,
-        })
-    }
-}
-
-impl FromIterator<Src> for SrcList {
-    fn from_iter<I: IntoIterator<Item = Src>>(iter: I) -> Self {
-        let mut list = SrcList::new();
-        for s in iter {
-            list.push(s);
-        }
-        list
-    }
 }
 
 /// One in-flight instruction.
@@ -192,18 +173,23 @@ impl RobEntry {
         vals
     }
 
-    /// Substitutes `value` for any pending reference to producer `tag` and
-    /// returns the next consumer on that producer's list (0 = end): the
-    /// link held by the first slot that named it.
-    pub fn deliver(&mut self, tag: u64, value: u64) -> u64 {
-        let mut next = None;
+    /// Substitutes `value` for any pending reference to producer `tag`.
+    /// Returns the next consumer on that producer's list (0 = end), which
+    /// is the link held by the first slot that named it, and whether every
+    /// operand is now resolved.
+    pub fn deliver(&mut self, tag: u64, value: u64) -> (u64, bool) {
+        let (mut next, mut ready) = (None, true);
         for i in 0..self.srcs.len() {
-            if self.srcs.items[i] == Src::Pending(tag) {
-                self.srcs.items[i] = Src::Ready(value);
-                next = next.or(Some(self.next_consumer[i]));
+            match self.srcs.items[i] {
+                Src::Pending(t) if t == tag => {
+                    self.srcs.items[i] = Src::Ready(value);
+                    next = next.or(Some(self.next_consumer[i]));
+                }
+                Src::Pending(_) => ready = false,
+                Src::Ready(_) => {}
             }
         }
-        next.unwrap_or(0)
+        (next.unwrap_or(0), ready)
     }
 
     /// The virtual byte range `[lo, hi)` a memory op will touch, resolved
@@ -264,32 +250,49 @@ mod tests {
         }
     }
 
+    fn srcs(items: &[Src]) -> SrcList {
+        let mut list = SrcList::new();
+        items.iter().for_each(|&s| list.push(s));
+        list
+    }
+
     #[test]
     fn delivery_resolves_pending_operands() {
-        let mut e = entry([Src::Pending(7), Src::Ready(3)].into_iter().collect());
+        let mut e = entry(srcs(&[Src::Pending(7), Src::Ready(3)]));
         assert!(!e.srcs_ready());
-        e.deliver(7, 40);
+        assert_eq!(e.deliver(7, 40), (0, true), "the last pending operand");
         assert!(e.srcs_ready());
         assert_eq!(e.src_values(), [40, 3]);
     }
 
     #[test]
     fn delivery_follows_the_first_slot_naming_the_producer() {
-        let mut e = entry([Src::Pending(7), Src::Pending(7)].into_iter().collect());
+        let mut e = entry(srcs(&[Src::Pending(7), Src::Pending(7)]));
         e.next_consumer = [11, 99];
-        assert_eq!(e.srcs.producers().collect::<Vec<_>>(), [(0, 7)]);
-        assert_eq!(e.deliver(7, 5), 11, "slot 0 holds the list link");
+        assert_eq!(e.deliver(7, 5), (11, true), "slot 0 holds the list link");
         assert_eq!(e.src_values(), [5, 5]);
-        let mut e = entry([Src::Ready(1), Src::Pending(8)].into_iter().collect());
+        let mut e = entry(srcs(&[Src::Ready(1), Src::Pending(8)]));
         e.next_consumer = [0, 12];
-        assert_eq!(e.srcs.producers().collect::<Vec<_>>(), [(1, 8)]);
-        assert_eq!(e.deliver(9, 0), 0, "another producer's value is ignored");
-        assert_eq!(e.deliver(8, 2), 12);
+        assert_eq!(
+            e.deliver(9, 0),
+            (0, false),
+            "another producer's value is ignored"
+        );
+        assert_eq!(e.deliver(8, 2), (12, true));
+    }
+
+    #[test]
+    fn delivery_reports_operands_still_pending() {
+        let mut e = entry(srcs(&[Src::Pending(7), Src::Pending(8)]));
+        e.next_consumer = [3, 4];
+        assert_eq!(e.deliver(8, 1), (4, false), "slot 0 still waits on 7");
+        assert_eq!(e.deliver(7, 2), (3, true));
+        assert_eq!(e.src_values(), [2, 1]);
     }
 
     #[test]
     fn delivery_ignores_other_seqs() {
-        let mut e = entry([Src::Pending(7)].into_iter().collect());
+        let mut e = entry(srcs(&[Src::Pending(7)]));
         e.deliver(8, 99);
         assert!(!e.srcs_ready());
     }

@@ -33,6 +33,23 @@ pub struct WalkerConfig {
     pub update_accessed_dirty: bool,
 }
 
+impl WalkerConfig {
+    /// Checks the rule the page-walk cache needs, which a struct literal
+    /// can break: it holds at least one entry (`pwc_enabled = false` is
+    /// the way to run without one).
+    ///
+    /// # Errors
+    ///
+    /// `("walker.pwc.entries", 0)`: the field's path from a simulation
+    /// config's `walker` field, and its value.
+    pub fn check(&self) -> Result<(), (&'static str, u64)> {
+        match self.pwc.entries {
+            0 => Err(("walker.pwc.entries", 0)),
+            _ => Ok(()),
+        }
+    }
+}
+
 impl Default for WalkerConfig {
     fn default() -> Self {
         WalkerConfig {
@@ -237,6 +254,14 @@ mod tests {
         let frame = phys.alloc_frame();
         asp.map(&mut phys, va, frame, PteFlags::user_data());
         (phys, hier, walker, asp, va)
+    }
+
+    #[test]
+    fn check_refuses_an_empty_pwc() {
+        let mut cfg = WalkerConfig::default();
+        assert_eq!(cfg.check(), Ok(()));
+        cfg.pwc.entries = 0;
+        assert_eq!(cfg.check(), Err(("walker.pwc.entries", 0)));
     }
 
     #[test]

@@ -34,6 +34,6 @@ mod shared;
 
 pub use kernel::{Kernel, Process};
 pub use module::MicroScopeModule;
-pub use ops::{flush_translation, translate_ignoring_present};
+pub use ops::{flush_translation, translate_ignoring_present, WalkLengthError};
 pub use recipe::{AttackRecipe, RecipeId, WalkTuning};
 pub use shared::{ModuleShared, Observation, SharedHandle};

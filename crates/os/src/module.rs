@@ -1,7 +1,9 @@
 //! The MicroScope kernel module: recipe registry, trampoline and the
 //! replay/pivot state machine.
 
-use crate::ops::{flush_translation, prime_lines, probe_latencies, set_walk_length};
+use crate::ops::{
+    flush_translation, prime_lines, probe_latencies, set_walk_length, WalkLengthError,
+};
 use crate::recipe::{AttackRecipe, RecipeId, WalkTuning};
 use crate::shared::{new_shared, ModuleShared, Observation, SharedHandle};
 use microscope_cpu::{FaultEvent, HwParts, SupervisorAction};
@@ -116,15 +118,16 @@ impl MicroScopeModule {
     }
 
     /// Table 2: `initiate_page_walk(addr, length)` — arranges the next walk
-    /// of `addr` to fetch `length` levels from memory.
+    /// of `addr` to fetch `length` levels from memory. A length outside
+    /// 1..=4 is a [`WalkLengthError`] and changes nothing.
     pub fn initiate_page_walk(
         &mut self,
         hw: &mut HwParts,
         aspace: AddressSpace,
         addr: VAddr,
         length: u8,
-    ) {
-        set_walk_length(hw, aspace, addr, length);
+    ) -> Result<(), WalkLengthError> {
+        set_walk_length(hw, aspace, addr, length)
     }
 
     /// Table 2: `initiate_page_fault(addr)` — clears the Present bit and
@@ -354,7 +357,12 @@ fn release_page(probe: &Probe, hw: &mut HwParts, aspace: AddressSpace, addr: VAd
 fn apply_tuning(hw: &mut HwParts, aspace: AddressSpace, addr: VAddr, walk: WalkTuning) {
     match walk {
         WalkTuning::Long => flush_translation(hw, aspace, addr),
-        WalkTuning::Length { levels } => set_walk_length(hw, aspace, addr, levels),
+        // `AttackRecipe::check` refuses every length this rejects, and a
+        // session builds only from checked recipes. An unchecked recipe
+        // armed by hand leaves its walk untuned.
+        WalkTuning::Length { levels } => {
+            let _ = set_walk_length(hw, aspace, addr, levels);
+        }
         WalkTuning::Natural => {}
     }
 }

@@ -4,6 +4,8 @@
 use microscope_cache::PAddr;
 use microscope_cpu::HwParts;
 use microscope_mem::{AddressSpace, PhysMem, PtLevel, VAddr, PAGE_BYTES};
+use std::error::Error;
+use std::fmt;
 
 /// Translates `vaddr` through `aspace` *ignoring the Present bit* of the
 /// leaf PTE. The OS can always do this (it owns the tables), and needs it to
@@ -62,16 +64,45 @@ fn flush_entries(
     hw.tlb.invlpg(vaddr, aspace.pcid());
 }
 
+/// The walk lengths [`set_walk_length`] accepts: one level (the leaf PTE)
+/// up to a fully cold four-level walk.
+pub(crate) const WALK_LENGTHS: std::ops::RangeInclusive<u8> = 1..=4;
+
+/// Why the Table-2 operation
+/// [`initiate_page_walk`](crate::MicroScopeModule::initiate_page_walk)
+/// refused a length: a walk fetches between one and four levels.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WalkLengthError {
+    /// The requested length.
+    pub length: u8,
+}
+
+impl fmt::Display for WalkLengthError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let length = self.length;
+        write!(
+            f,
+            "initiate_page_walk failed: length {length} is outside 1..=4"
+        )
+    }
+}
+
+impl Error for WalkLengthError {}
+
 /// Tunes the next hardware walk for `vaddr` to dereference exactly `length`
 /// levels from memory (the Table-2 `initiate_page_walk(addr, length)`
 /// operation): the remaining upper levels are left warm in the page-walk
-/// cache, so the walk costs ~`length` DRAM round trips.
-///
-/// # Panics
-///
-/// Panics unless `1 <= length <= 4`.
-pub fn set_walk_length(hw: &mut HwParts, aspace: AddressSpace, vaddr: VAddr, length: u8) {
-    assert!((1..=4).contains(&length), "walk length must be in 1..=4");
+/// cache, so the walk costs ~`length` DRAM round trips. A length outside
+/// 1..=4 is refused before any state changes.
+pub fn set_walk_length(
+    hw: &mut HwParts,
+    aspace: AddressSpace,
+    vaddr: VAddr,
+    length: u8,
+) -> Result<(), WalkLengthError> {
+    if !WALK_LENGTHS.contains(&length) {
+        return Err(WalkLengthError { length });
+    }
     let entries = aspace.entry_paddrs(&hw.phys, vaddr);
     // Cold everything first.
     flush_entries(hw, aspace, vaddr, &entries);
@@ -82,6 +113,7 @@ pub fn set_walk_length(hw: &mut HwParts, aspace: AddressSpace, vaddr: VAddr, len
     for entry in entries.iter().take(warm).flatten() {
         hw.walker.pwc_mut().insert(*entry);
     }
+    Ok(())
 }
 
 /// Evicts each address's line from the whole hierarchy ("priming the
@@ -183,7 +215,7 @@ mod tests {
             .walk(&mut hw.phys, &mut hw.hier, &aspace, va, false);
         let mut lats = Vec::new();
         for length in 1..=4 {
-            set_walk_length(&mut hw, aspace, va, length);
+            assert_eq!(set_walk_length(&mut hw, aspace, va, length), Ok(()));
             let out = hw
                 .walker
                 .walk(&mut hw.phys, &mut hw.hier, &aspace, va, false);
@@ -197,10 +229,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "walk length")]
-    fn zero_walk_length_rejected() {
+    fn walk_length_outside_1_to_4_is_an_error() {
         let (mut hw, aspace, va) = hw_with_mapping();
-        set_walk_length(&mut hw, aspace, va, 0);
+        for length in [0, 5] {
+            assert_eq!(
+                set_walk_length(&mut hw, aspace, va, length),
+                Err(WalkLengthError { length })
+            );
+        }
     }
 
     #[test]

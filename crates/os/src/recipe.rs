@@ -1,5 +1,6 @@
 //! Attack recipes (paper §5.2.1).
 
+use crate::ops::WALK_LENGTHS;
 use microscope_cpu::ContextId;
 use microscope_mem::VAddr;
 
@@ -89,7 +90,7 @@ impl AttackRecipe {
             return Err(("pivot", p.0));
         }
         match self.walk {
-            WalkTuning::Length { levels } if !(1..=4).contains(&levels) => {
+            WalkTuning::Length { levels } if !WALK_LENGTHS.contains(&levels) => {
                 Err(("walk.levels", u64::from(levels)))
             }
             _ => Ok(()),

@@ -27,6 +27,7 @@ fn every_error_type_is_send_sync_static() {
     assert_error_type::<microscope_bench::ArgError>();
     assert_error_type::<microscope::analyze::ValidateError>();
     assert_error_type::<microscope::cpu::ProgramError>();
+    assert_error_type::<microscope::os::WalkLengthError>();
 }
 
 #[test]
@@ -124,6 +125,7 @@ fn displays_follow_what_failed_colon_why() {
             value: 0,
         }
         .to_string(),
+        microscope::os::WalkLengthError { length: 5 }.to_string(),
     ];
     for msg in &cases {
         assert!(
@@ -155,6 +157,10 @@ fn displays_follow_what_failed_colon_why() {
     assert_eq!(
         cases[14],
         "session build failed: recipe 1 walk.levels = 0 breaks its rule"
+    );
+    assert_eq!(
+        cases[15],
+        "initiate_page_walk failed: length 5 is outside 1..=4"
     );
 }
 

@@ -65,7 +65,7 @@ fn initiate_page_walk_and_page_fault_operate_directly() {
     use microscope::mem::{
         AddressSpace, PageWalker, PhysMem, PteFlags, TlbHierarchy, TlbHierarchyConfig, WalkerConfig,
     };
-    use microscope::os::MicroScopeModule;
+    use microscope::os::{MicroScopeModule, WalkLengthError};
 
     let mut phys = PhysMem::new();
     let aspace = AddressSpace::new(&mut phys, 1);
@@ -82,10 +82,19 @@ fn initiate_page_walk_and_page_fault_operate_directly() {
     let mut module = MicroScopeModule::new();
 
     // Table 2, row 4: initiate_page_walk(addr, length) — walk latency grows
-    // with the requested length.
+    // with the requested length, and a length outside 1..=4 is an error.
+    for length in [0, 5] {
+        assert_eq!(
+            module.initiate_page_walk(&mut hw, aspace, va, length),
+            Err(WalkLengthError { length })
+        );
+    }
     let mut latencies = Vec::new();
     for length in 1..=4u8 {
-        module.initiate_page_walk(&mut hw, aspace, va, length);
+        assert_eq!(
+            module.initiate_page_walk(&mut hw, aspace, va, length),
+            Ok(())
+        );
         let out = hw
             .walker
             .walk(&mut hw.phys, &mut hw.hier, &aspace, va, false);
