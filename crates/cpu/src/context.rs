@@ -257,7 +257,8 @@ impl Context {
                 }
             });
         }
-        let blocks_younger = serial || std::mem::take(&mut self.post_flush_fence);
+        let post_flush = std::mem::take(&mut self.post_flush_fence);
+        let blocks_younger = serial || post_flush;
         if ready {
             self.ready.push(tag);
         }
@@ -659,6 +660,21 @@ mod tests {
             [0, 2],
             "slot 1 threads onto tag 1's surviving list"
         );
+        c.audit();
+    }
+
+    #[test]
+    fn a_serializing_dispatch_takes_the_post_flush_fence() {
+        let mut c = ctx();
+        c.post_flush_fence = true;
+        c.dispatch(1, 0, Inst::Fence, false, true);
+        ready_entry(&mut c, 2, Reg(1));
+        assert!(c.entry(1).blocks_younger);
+        assert!(
+            !c.entry(2).blocks_younger,
+            "the post-flush fence is taken by the first dispatch"
+        );
+        assert_eq!(c.fences, [1]);
         c.audit();
     }
 

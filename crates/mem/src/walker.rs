@@ -34,17 +34,17 @@ pub struct WalkerConfig {
 }
 
 impl WalkerConfig {
-    /// Checks the rule the page-walk cache needs, which a struct literal
-    /// can break: it holds at least one entry (`pwc_enabled = false` is
-    /// the way to run without one).
+    /// Checks the rule an enabled page-walk cache needs, which a struct
+    /// literal can break: it holds at least one entry (`pwc_enabled =
+    /// false` is the way to run without one).
     ///
     /// # Errors
     ///
     /// `("walker.pwc.entries", 0)`: the field's path from a simulation
     /// config's `walker` field, and its value.
     pub fn check(&self) -> Result<(), (&'static str, u64)> {
-        match self.pwc.entries {
-            0 => Err(("walker.pwc.entries", 0)),
+        match (self.pwc_enabled, self.pwc.entries) {
+            (true, 0) => Err(("walker.pwc.entries", 0)),
             _ => Ok(()),
         }
     }
@@ -257,11 +257,13 @@ mod tests {
     }
 
     #[test]
-    fn check_refuses_an_empty_pwc() {
+    fn check_refuses_an_empty_enabled_pwc() {
         let mut cfg = WalkerConfig::default();
         assert_eq!(cfg.check(), Ok(()));
         cfg.pwc.entries = 0;
         assert_eq!(cfg.check(), Err(("walker.pwc.entries", 0)));
+        cfg.pwc_enabled = false;
+        assert_eq!(cfg.check(), Ok(()), "a disabled PWC needs no entries");
     }
 
     #[test]

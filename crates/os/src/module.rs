@@ -143,6 +143,11 @@ impl MicroScopeModule {
 
     /// Arms every installed recipe: faults its replay handle and applies
     /// walk tuning and priming. Call once before the victim resumes.
+    ///
+    /// # Panics
+    ///
+    /// On a walk length that [`MicroScopeModule::check`] refuses; a session
+    /// checks its recipes before it arms them.
     pub fn arm(&mut self, hw: &mut HwParts, aspace: AddressSpace) {
         self.shared.borrow_mut().armed = true;
         for (idx, (recipe, state)) in self.recipes.iter_mut().enumerate() {
@@ -357,11 +362,9 @@ fn release_page(probe: &Probe, hw: &mut HwParts, aspace: AddressSpace, addr: VAd
 fn apply_tuning(hw: &mut HwParts, aspace: AddressSpace, addr: VAddr, walk: WalkTuning) {
     match walk {
         WalkTuning::Long => flush_translation(hw, aspace, addr),
-        // `AttackRecipe::check` refuses every length this rejects, and a
-        // session builds only from checked recipes. An unchecked recipe
-        // armed by hand leaves its walk untuned.
+        // `AttackRecipe::check` refuses every length this rejects.
         WalkTuning::Length { levels } => {
-            let _ = set_walk_length(hw, aspace, addr, levels);
+            set_walk_length(hw, aspace, addr, levels).expect("recipes are checked before arming")
         }
         WalkTuning::Natural => {}
     }
@@ -393,6 +396,16 @@ mod tests {
         let id = m.provide_replay_handle(ContextId(0), VAddr(0x5000));
         m.provide_pivot(id, VAddr(0x5800));
         assert_eq!(m.check(), Err((id, "pivot", 0x5800)));
+    }
+
+    #[test]
+    #[should_panic(expected = "recipes are checked before arming")]
+    fn arming_an_unchecked_walk_length_panics() {
+        let (mut hw, aspace, va) = crate::ops::tests::hw_with_mapping();
+        let mut m = MicroScopeModule::new();
+        let id = m.provide_replay_handle(ContextId(0), va);
+        m.recipe_mut(id).walk = WalkTuning::Length { levels: 0 };
+        m.arm(&mut hw, aspace);
     }
 
     #[test]

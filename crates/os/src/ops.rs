@@ -138,7 +138,7 @@ pub fn probe_latencies(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use microscope_cache::{HierarchyConfig, MemoryHierarchy};
     use microscope_cpu::{BranchPredictor, PredictorConfig};
@@ -146,7 +146,7 @@ mod tests {
         PageWalker, PhysMem, PteFlags, TlbEntry, TlbHierarchy, TlbHierarchyConfig, WalkerConfig,
     };
 
-    fn hw_with_mapping() -> (HwParts, AddressSpace, VAddr) {
+    pub(crate) fn hw_with_mapping() -> (HwParts, AddressSpace, VAddr) {
         let mut phys = PhysMem::new();
         let aspace = AddressSpace::new(&mut phys, 1);
         let va = VAddr(0x1234_5000);
